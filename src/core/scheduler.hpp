@@ -1,8 +1,9 @@
 #pragma once
 // Dynamic chunked work-stealing scheduler for multi-device dispatch.
 //
-// The paper's host program (and HeterogeneousMapper's default path)
-// commits each device to one contiguous slice of the read set up front;
+// The paper's host program (and HeterogeneousMapper's default
+// StaticSplit schedule, for any shard plan) commits each device to one
+// contiguous slice of the read set up front;
 // Fig. 3 shows how a mispredicted split turns straight into tail
 // latency, and a device failing mid-batch loses its slice outright.
 // This scheduler instead cuts the batch into chunks: each device's

@@ -1,17 +1,6 @@
 #include "core/sharded_mapper.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <map>
-#include <stdexcept>
-
-#include "core/scheduler.hpp"
-#include "filter/heuristic_seeder.hpp"
-#include "filter/memopt_seeder.hpp"
-#include "obs/trace.hpp"
-#include "ocl/context.hpp"
-#include "ocl/queue.hpp"
-#include "util/logging.hpp"
 
 namespace repute::core {
 
@@ -62,758 +51,6 @@ void merge_sharded_read(
                                      a.strand == b.strand;
                           }),
               out.end());
-}
-
-ShardedMapper::ShardedMapper(std::string display_name,
-                             std::vector<ShardView> shards,
-                             std::unique_ptr<filter::Seeder> seeder,
-                             HeterogeneousMapperConfig config,
-                             std::vector<DeviceShare> shares)
-    : name_(std::move(display_name)), shards_(std::move(shards)),
-      seeder_(std::move(seeder)), config_(config) {
-    if (seeder_ == nullptr) {
-        throw std::invalid_argument(name_ + ": seeder must not be null");
-    }
-    if (shards_.empty()) {
-        throw std::invalid_argument(name_ + ": needs at least one shard");
-    }
-    std::uint32_t cursor = 0;
-    for (const ShardView& v : shards_) {
-        if (v.reference == nullptr || v.fm == nullptr ||
-            v.own_hi <= v.own_lo || v.own_hi > v.fm->size() ||
-            v.base() != cursor) {
-            throw std::invalid_argument(
-                name_ + ": shard owned ranges must tile the reference");
-        }
-        cursor = v.text_offset + v.own_hi;
-    }
-    double total = 0.0;
-    for (const DeviceShare& s : shares) {
-        if (s.device != nullptr && s.fraction > 0.0) {
-            total += s.fraction;
-            shares_.push_back(s);
-        }
-    }
-    if (shares_.empty() || total <= 0.0) {
-        throw std::invalid_argument(
-            name_ + ": needs at least one device with a positive share");
-    }
-    for (DeviceShare& s : shares_) s.fraction /= total;
-}
-
-std::uint64_t ShardedMapper::max_image_bytes() const noexcept {
-    std::uint64_t bytes = 0;
-    for (const ShardView& v : shards_) {
-        bytes = std::max(bytes, v.image_bytes());
-    }
-    return bytes;
-}
-
-std::vector<std::size_t> ShardedMapper::split_workload(
-    std::size_t total) const {
-    std::vector<std::size_t> counts(shares_.size(), 0);
-    std::size_t assigned = 0;
-    for (std::size_t i = 0; i + 1 < shares_.size(); ++i) {
-        counts[i] = static_cast<std::size_t>(
-            static_cast<double>(total) * shares_[i].fraction);
-        assigned += counts[i];
-    }
-    counts.back() = total - assigned;
-    return counts;
-}
-
-void ShardedMapper::validate_overhangs(const genomics::ReadBatch& batch,
-                                       std::uint32_t delta) const {
-    if (shards_.size() < 2) return; // monolithic-equivalent
-    // Longest actual read in the batch, not batch.read_length: bucketed
-    // batches carry the length-class ceiling there, and a too-small
-    // overhang only matters for reads that truly reach past it.
-    std::uint64_t n = 0;
-    for (const auto& read : batch.reads) {
-        n = std::max<std::uint64_t>(n, read.length());
-    }
-    if (n == 0) n = batch.read_length;
-    const ShardView& last = shards_.back();
-    const std::uint64_t total =
-        std::uint64_t{last.text_offset} + last.own_hi;
-    for (const ShardView& v : shards_) {
-        // A shard reports candidate diagonals p in its owned range; the
-        // verification window spans [p - delta, p + n + delta), so the
-        // shard text must cover delta bp left and n + delta bp right of
-        // the owned range (clamped at the reference ends — the shard
-        // sees the same text boundary the monolithic index does).
-        const std::uint64_t left_need =
-            std::min<std::uint64_t>(delta, v.base());
-        const std::uint64_t own_end =
-            std::uint64_t{v.text_offset} + v.own_hi;
-        const std::uint64_t right_need =
-            std::min<std::uint64_t>(n + delta, total - own_end);
-        if (v.own_lo < left_need ||
-            v.fm->size() - v.own_hi < right_need) {
-            throw std::invalid_argument(
-                name_ + ": shard overlap overhang is too small for " +
-                std::to_string(n) + " bp reads at delta " +
-                std::to_string(delta) +
-                " (needs >= read_length + delta) — rebuild the index "
-                "with a larger --overlap");
-        }
-    }
-}
-
-KernelConfig ShardedMapper::shard_kernel(std::size_t shard) const {
-    KernelConfig k = config_.kernel;
-    k.report_lo = shards_[shard].own_lo;
-    k.report_hi = shards_[shard].own_hi;
-    return k;
-}
-
-MapResult ShardedMapper::map(const genomics::ReadBatch& batch,
-                             std::uint32_t delta) {
-    validate_overhangs(batch, delta);
-    const std::size_t reads = batch.size();
-    const std::size_t units = shards_.size() * reads;
-    // Per-(shard, read) kernel outputs (local coordinates) and stage
-    // slots — shard-major, unit = shard * reads + read.
-    std::vector<std::vector<ReadMapping>> slots(units);
-    std::vector<StageTotals> unit_stages(units);
-
-    MapResult result =
-        config_.schedule == ScheduleMode::Dynamic
-            ? map_dynamic(batch, delta, slots, unit_stages)
-            : map_static(batch, delta, slots, unit_stages);
-
-    // Shift per-shard outputs to global coordinates, then merge.
-    result.per_read.resize(reads);
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-        const std::uint32_t shift = shards_[s].text_offset;
-        for (std::size_t r = 0; r < reads; ++r) {
-            for (ReadMapping& m : slots[s * reads + r]) {
-                m.position += shift;
-            }
-        }
-    }
-    std::vector<std::span<const ReadMapping>> spans(shards_.size());
-    for (std::size_t r = 0; r < reads; ++r) {
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            spans[s] = slots[s * reads + r];
-        }
-        merge_sharded_read(spans, config_.kernel.max_locations_per_read,
-                           result.per_read[r]);
-    }
-
-    if (auto* m = obs::metrics()) {
-        m->gauge("shard.count")
-            .set(static_cast<double>(shards_.size()));
-        m->gauge("shard.peak_resident_bytes")
-            .set(static_cast<double>(max_image_bytes()));
-    }
-    return result;
-}
-
-namespace {
-
-/// Per-device shard staging tallies, summed into the obs registry once
-/// the run completes (workers touch only their own entry — no atomics).
-struct ShardTally {
-    std::uint64_t hits = 0;     ///< launches with the shard resident
-    std::uint64_t restages = 0; ///< resident-image swaps after the first
-    std::uint64_t restage_bytes = 0; ///< shard-image bytes staged
-    std::vector<double> busy_by_shard; ///< kernel seconds per shard
-};
-
-void export_shard_metrics(std::span<const ShardTally> tallies) {
-    auto* m = obs::metrics();
-    if (m == nullptr) return;
-    for (const ShardTally& t : tallies) {
-        m->counter("shard.residency_hits").add(t.hits);
-        m->counter("shard.restages").add(t.restages);
-        m->counter("shard.restage_bytes").add(t.restage_bytes);
-        for (const double seconds : t.busy_by_shard) {
-            if (seconds > 0.0) {
-                m->histogram("shard.busy_seconds").observe(seconds);
-            }
-        }
-    }
-}
-
-void finish_transfer_accounting(const MapResult& result) {
-    double transfer = 0.0;
-    for (const DeviceRun& run : result.device_runs) {
-        transfer += run.transfer_seconds;
-    }
-    if (transfer <= 0.0) return;
-    if (auto* m = obs::metrics()) {
-        m->gauge("xfer.overlap_ratio")
-            .set(result.transfer_overlap_ratio());
-    }
-}
-
-} // namespace
-
-MapResult ShardedMapper::map_static(
-    const genomics::ReadBatch& batch, std::uint32_t delta,
-    std::vector<std::vector<ReadMapping>>& slots,
-    std::vector<StageTotals>& unit_stages) {
-    MapResult result;
-    if (batch.empty()) return result;
-
-    const std::size_t reads = batch.size();
-    const std::size_t n = batch.read_length;
-    const std::uint64_t scratch =
-        kernel_scratch_bytes(*seeder_, n, delta);
-    const std::uint64_t out_bytes_per_read =
-        static_cast<std::uint64_t>(
-            config_.kernel.max_locations_per_read) *
-        8;
-    const std::uint64_t image_cap = max_image_bytes();
-
-    std::vector<ocl::Device*> devices;
-    devices.reserve(shares_.size());
-    for (const DeviceShare& s : shares_) devices.push_back(s.device);
-    ocl::Context context(devices);
-
-    const auto counts = split_workload(reads);
-
-    // Per-device state, as in HeterogeneousMapper::map_static, with one
-    // addition: a single resident buffer sized for the *largest* shard
-    // image, restaged between shards. The device never holds more than
-    // one shard — that is the whole memory-ceiling point.
-    struct Launch {
-        std::size_t shard;
-        std::size_t lo, hi; ///< read range
-    };
-    struct DeviceWork {
-        ocl::Buffer resident;
-        std::vector<ocl::Buffer> reads;
-        std::vector<ocl::Buffer> outputs;
-        std::vector<ocl::Event> resident_writes; ///< one per shard
-        std::vector<ocl::Event> writes;
-        std::vector<ocl::Event> kernels;
-        std::vector<ocl::Event> reads_done;
-        std::vector<Launch> ranges;
-        std::size_t sets = 1;
-    };
-    std::vector<DeviceWork> work(shares_.size());
-    std::vector<ShardTally> tallies(shares_.size());
-
-    for (std::size_t d = 0; d < shares_.size(); ++d) {
-        if (counts[d] == 0) continue;
-        ocl::Device& device = *shares_[d].device;
-        DeviceWork& dw = work[d];
-        ShardTally& tally = tallies[d];
-        tally.busy_by_shard.resize(shards_.size(), 0.0);
-
-        dw.resident = context.allocate(device, image_cap, "shard-image");
-
-        const auto& profile = device.profile();
-        const bool staged_device = profile.transfer.modeled();
-        dw.sets = (staged_device && config_.double_buffer) ? 2 : 1;
-        const std::uint64_t quarter = profile.max_single_allocation();
-        const std::uint64_t free_bytes =
-            profile.global_memory_bytes - device.allocated_bytes();
-        std::uint64_t max_chunk64 = counts[d];
-        max_chunk64 = std::min(max_chunk64, quarter / out_bytes_per_read);
-        max_chunk64 = std::min(max_chunk64, quarter / n);
-        std::uint64_t per_set =
-            free_bytes / (dw.sets * (n + out_bytes_per_read));
-        if (per_set == 0 && dw.sets > 1) {
-            dw.sets = 1;
-            per_set = free_bytes / (n + out_bytes_per_read);
-        }
-        max_chunk64 = std::min(max_chunk64, per_set);
-        if (max_chunk64 == 0) {
-            throw ocl::OclError(
-                ocl::OclStatus::MemObjectAllocFail,
-                name_ + ": device " + device.name() +
-                    " cannot hold the buffers of even one read");
-        }
-        const auto max_chunk = static_cast<std::size_t>(max_chunk64);
-
-        for (std::size_t s = 0; s < dw.sets; ++s) {
-            dw.reads.push_back(
-                context.allocate(device, max_chunk * n, "reads"));
-            dw.outputs.push_back(context.allocate(
-                device, max_chunk * out_bytes_per_read, "mappings"));
-        }
-
-        std::size_t device_base = 0;
-        for (std::size_t e = 0; e < d; ++e) device_base += counts[e];
-
-        ocl::CommandQueue queue(device);
-        std::size_t chunk_index = 0;
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            // Swap the shard image in; the previous shard's last kernel
-            // must have released the buffer (ordering-only — a faulted
-            // kernel never touched it).
-            std::vector<ocl::Event> image_reuse;
-            if (!dw.kernels.empty()) {
-                image_reuse.push_back(dw.kernels.back());
-            }
-            dw.resident_writes.push_back(queue.enqueue_write(
-                dw.resident, shards_[s].image_bytes(), {},
-                std::move(image_reuse)));
-            tally.restage_bytes += shards_[s].image_bytes();
-            if (s > 0) ++tally.restages;
-
-            const KernelConfig kernel_config = shard_kernel(s);
-            std::size_t base = device_base;
-            std::size_t remaining = counts[d];
-            bool first_chunk_of_shard = true;
-            while (remaining > 0) {
-                const std::size_t chunk = std::min(remaining, max_chunk);
-                const std::size_t set = chunk_index % dw.sets;
-                if (!first_chunk_of_shard) ++tally.hits;
-
-                std::vector<ocl::Event> write_reuse;
-                if (chunk_index >= dw.sets) {
-                    write_reuse.push_back(
-                        dw.kernels[chunk_index - dw.sets]);
-                }
-                dw.writes.push_back(queue.enqueue_write(
-                    dw.reads[set], chunk * n, {},
-                    std::move(write_reuse)));
-
-                ocl::KernelLaunch launch;
-                launch.name = name_ + "::map-shard";
-                launch.n_items = chunk;
-                launch.scratch_bytes_per_item = scratch;
-                const ShardView& view = shards_[s];
-                launch.body = [this, &batch, &slots, &unit_stages, &view,
-                               kernel_config, s, base, reads,
-                               delta](std::size_t i) -> std::uint64_t {
-                    const std::size_t unit = s * reads + base + i;
-                    thread_local KernelScratch kernel_scratch;
-                    return map_read_workitem(
-                        *view.fm, *view.reference, *seeder_,
-                        batch.reads[base + i], delta, kernel_config,
-                        slots[unit], kernel_scratch, &unit_stages[unit]);
-                };
-                std::vector<ocl::Event> kernel_wait{dw.writes.back()};
-                if (first_chunk_of_shard) {
-                    kernel_wait.push_back(dw.resident_writes.back());
-                    first_chunk_of_shard = false;
-                }
-                std::vector<ocl::Event> kernel_reuse;
-                if (chunk_index >= dw.sets) {
-                    kernel_reuse.push_back(
-                        dw.reads_done[chunk_index - dw.sets]);
-                }
-                dw.kernels.push_back(
-                    queue.enqueue(std::move(launch),
-                                  std::move(kernel_wait),
-                                  std::move(kernel_reuse)));
-                dw.reads_done.push_back(queue.enqueue_read(
-                    dw.outputs[set], chunk * out_bytes_per_read,
-                    {dw.kernels.back()}));
-                dw.ranges.push_back({s, base, base + chunk});
-                base += chunk;
-                remaining -= chunk;
-                ++chunk_index;
-            }
-        }
-    }
-
-    double slowest = 0.0;
-    for (std::size_t d = 0; d < shares_.size(); ++d) {
-        if (counts[d] == 0) continue;
-        ocl::Device& device = *shares_[d].device;
-        DeviceWork& dw = work[d];
-        DeviceRun run;
-        run.device_name = device.name();
-        run.reads = counts[d];
-        run.power_scale = config_.power_scale;
-
-        for (std::size_t s = 0; s < dw.resident_writes.size(); ++s) {
-            const ocl::LaunchStats& stats = dw.resident_writes[s].wait();
-            run.bytes_staged += shards_[s].image_bytes();
-            run.transfer_seconds += stats.seconds;
-        }
-
-        double exec_seconds = 0.0;
-        double wait_seconds = 0.0;
-        double last_kernel_end = 0.0;
-        double last_drain_end = 0.0;
-        for (std::size_t e = 0; e < dw.kernels.size(); ++e) {
-            const Launch& range = dw.ranges[e];
-
-            const ocl::LaunchStats& write_stats = dw.writes[e].wait();
-            run.bytes_staged += (range.hi - range.lo) * n;
-            run.transfer_seconds += write_stats.seconds;
-
-            const ocl::LaunchStats& stats = dw.kernels[e].wait();
-            exec_seconds += stats.seconds;
-            wait_seconds += stats.queue_wait_seconds;
-            last_kernel_end = std::max(
-                last_kernel_end, stats.start_seconds + stats.seconds);
-            tallies[d].busy_by_shard[range.shard] += stats.seconds;
-            run.stats.items += stats.items;
-            run.stats.total_ops += stats.total_ops;
-            run.stats.scratch_bytes_per_item =
-                stats.scratch_bytes_per_item;
-            run.stats.utilization = stats.utilization;
-
-            const ocl::LaunchStats& drain_stats = dw.reads_done[e].wait();
-            run.bytes_drained += (range.hi - range.lo) * out_bytes_per_read;
-            run.transfer_seconds += drain_stats.seconds;
-            last_drain_end =
-                std::max(last_drain_end,
-                         drain_stats.start_seconds + drain_stats.seconds);
-
-            obs::StageCounters launch_stage;
-            for (std::size_t r = range.lo; r < range.hi; ++r) {
-                launch_stage += unit_stages[range.shard * reads + r];
-            }
-            run.stage += launch_stage;
-            if (auto* recorder = obs::trace()) {
-                obs::record_stage_spans(
-                    *recorder, run.device_name, /*track=*/0,
-                    stats.start_seconds,
-                    device.profile().dispatch_overhead_seconds,
-                    stats.seconds, launch_stage);
-            }
-        }
-        const double drain_tail =
-            std::max(0.0, last_drain_end - last_kernel_end);
-        run.stats.seconds = exec_seconds;
-        run.stall_seconds = wait_seconds + drain_tail;
-        slowest = std::max(slowest,
-                           exec_seconds + wait_seconds + drain_tail);
-        result.device_runs.push_back(std::move(run));
-    }
-    result.mapping_seconds = slowest;
-    export_shard_metrics(tallies);
-    finish_transfer_accounting(result);
-    return result;
-}
-
-MapResult ShardedMapper::map_dynamic(
-    const genomics::ReadBatch& batch, std::uint32_t delta,
-    std::vector<std::vector<ReadMapping>>& slots,
-    std::vector<StageTotals>& unit_stages) {
-    MapResult result;
-    if (batch.empty()) return result;
-
-    const std::size_t reads = batch.size();
-    const std::size_t n = batch.read_length;
-    const std::size_t total_units = shards_.size() * reads;
-    const std::uint64_t scratch =
-        kernel_scratch_bytes(*seeder_, n, delta);
-    const std::uint64_t out_bytes_per_read =
-        static_cast<std::uint64_t>(
-            config_.kernel.max_locations_per_read) *
-        8;
-    const std::uint64_t image_cap = max_image_bytes();
-
-    std::vector<ocl::Device*> devices;
-    std::vector<double> warm_start;
-    for (const DeviceShare& s : shares_) {
-        if (scratch > s.device->profile().private_memory_per_unit) {
-            util::logf(util::LogLevel::Info,
-                       "%s: dropping %s (needs %llu B scratch/item)",
-                       name_.c_str(), s.device->name().c_str(),
-                       static_cast<unsigned long long>(scratch));
-            continue;
-        }
-        devices.push_back(s.device);
-        warm_start.push_back(s.fraction);
-    }
-    if (devices.empty()) {
-        throw ocl::OclError(ocl::OclStatus::OutOfResources,
-                            name_ + ": no device can run this kernel");
-    }
-
-    ocl::Context context(devices);
-
-    std::vector<ocl::Buffer> resident;
-    resident.reserve(devices.size());
-    std::vector<std::size_t> buffer_sets(devices.size(), 1);
-    std::uint64_t fleet_chunk_cap =
-        std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t d = 0; d < devices.size(); ++d) {
-        ocl::Device* device = devices[d];
-        resident.push_back(
-            context.allocate(*device, image_cap, "shard-image"));
-        const auto& profile = device->profile();
-        if (profile.transfer.modeled() && config_.double_buffer) {
-            buffer_sets[d] = 2;
-        }
-        const std::uint64_t quarter = profile.max_single_allocation();
-        const std::uint64_t free_bytes =
-            profile.global_memory_bytes - device->allocated_bytes();
-        std::uint64_t max_chunk = quarter / out_bytes_per_read;
-        max_chunk = std::min(max_chunk, quarter / n);
-        std::uint64_t per_set =
-            free_bytes / (buffer_sets[d] * (n + out_bytes_per_read));
-        if (per_set == 0 && buffer_sets[d] > 1) {
-            buffer_sets[d] = 1;
-            per_set = free_bytes / (n + out_bytes_per_read);
-        }
-        max_chunk = std::min(max_chunk, per_set);
-        if (max_chunk == 0) {
-            throw ocl::OclError(
-                ocl::OclStatus::MemObjectAllocFail,
-                name_ + ": device " + device->name() +
-                    " cannot hold the buffers of even one read");
-        }
-        fleet_chunk_cap = std::min(fleet_chunk_cap, max_chunk);
-    }
-
-    SchedulerConfig scheduler_config = config_.scheduler;
-    scheduler_config.max_chunk_items =
-        scheduler_config.max_chunk_items == 0
-            ? static_cast<std::size_t>(fleet_chunk_cap)
-            : std::min(scheduler_config.max_chunk_items,
-                       static_cast<std::size_t>(fleet_chunk_cap));
-
-    if (auto* m = obs::metrics()) {
-        m->gauge("mapper.fleet_chunk_cap")
-            .set(static_cast<double>(fleet_chunk_cap));
-        if (static_cast<std::size_t>(fleet_chunk_cap) < total_units) {
-            m->counter("mapper.buffer_ceiling_splits").add();
-        }
-    }
-
-    ChunkScheduler scheduler(devices, warm_start, scheduler_config);
-
-    std::size_t largest_chunk = 1;
-    for (const ChunkRecord& c : scheduler.plan(total_units)) {
-        largest_chunk = std::max(largest_chunk, c.count);
-    }
-
-    // Per-device staging state; each entry is touched by exactly one
-    // scheduler worker. `current_shard` is the resident-shard affinity:
-    // a chunk segment whose shard is already resident skips the image
-    // restage entirely.
-    struct DeviceStage {
-        std::vector<ocl::Buffer> reads;
-        std::vector<ocl::Buffer> outputs;
-        ocl::Event resident_write;
-        bool resident_pending = false; ///< next kernel must wait on it
-        std::size_t current_shard = SIZE_MAX;
-        std::vector<ocl::Event> last_kernel; ///< per set
-        ocl::Event newest_kernel; ///< tail of the kernel chain
-        std::vector<ocl::Event> last_drain;  ///< per set
-        std::size_t launches = 0;
-        std::uint64_t bytes_staged = 0;
-        std::uint64_t bytes_drained = 0;
-        double transfer_seconds = 0.0;
-        double last_kernel_end = 0.0;
-        double last_drain_end = 0.0;
-    };
-    std::vector<DeviceStage> stages(devices.size());
-    std::vector<ShardTally> tallies(devices.size());
-    std::map<ocl::Device*, std::size_t> device_index;
-    for (std::size_t d = 0; d < devices.size(); ++d) {
-        DeviceStage& st = stages[d];
-        st.last_kernel.resize(buffer_sets[d]);
-        st.last_drain.resize(buffer_sets[d]);
-        for (std::size_t s = 0; s < buffer_sets[d]; ++s) {
-            st.reads.push_back(context.allocate(
-                *devices[d], largest_chunk * n, "reads"));
-            st.outputs.push_back(context.allocate(
-                *devices[d], largest_chunk * out_bytes_per_read,
-                "mappings"));
-        }
-        tallies[d].busy_by_shard.resize(shards_.size(), 0.0);
-        device_index[devices[d]] = d;
-    }
-
-    std::map<ocl::Device*, ocl::CommandQueue> queues;
-    for (ocl::Device* device : devices) {
-        queues.try_emplace(device, *device);
-    }
-
-    ScheduleStats schedule = scheduler.run(
-        total_units,
-        [&](ocl::Device& device, std::size_t begin, std::size_t count) {
-            const std::size_t d = device_index.at(&device);
-            DeviceStage& st = stages[d];
-            ShardTally& tally = tallies[d];
-            ocl::CommandQueue& queue = queues.at(&device);
-
-            // A chunk may straddle shard boundaries in the flattened
-            // unit space; run it as one segment per shard, restaging
-            // the resident image only on shard switches.
-            ocl::LaunchStats agg;
-            bool first_segment = true;
-            std::size_t flat = begin;
-            const std::size_t end = begin + count;
-            while (flat < end) {
-                const std::size_t s = flat / reads;
-                const std::size_t seg_end =
-                    std::min(end, (s + 1) * reads);
-                const std::size_t seg_count = seg_end - flat;
-                const std::size_t read_base = flat - s * reads;
-
-                if (st.current_shard != s) {
-                    // Swap the shard image; ordering-only dependency on
-                    // the newest kernel (the in-order chain means it is
-                    // the last possible user of the old image).
-                    std::vector<ocl::Event> image_reuse;
-                    if (st.newest_kernel.valid()) {
-                        image_reuse.push_back(st.newest_kernel);
-                    }
-                    st.resident_write = queue.enqueue_write(
-                        resident[d], shards_[s].image_bytes(), {},
-                        std::move(image_reuse));
-                    st.resident_pending = true;
-                    tally.restage_bytes += shards_[s].image_bytes();
-                    if (st.current_shard != SIZE_MAX) ++tally.restages;
-                    st.current_shard = s;
-                } else {
-                    ++tally.hits;
-                }
-
-                const std::size_t set =
-                    st.launches % st.last_kernel.size();
-                std::vector<ocl::Event> write_reuse;
-                if (st.last_kernel[set].valid()) {
-                    write_reuse.push_back(st.last_kernel[set]);
-                }
-                ocl::Event write = queue.enqueue_write(
-                    st.reads[set], seg_count * n, {},
-                    std::move(write_reuse));
-
-                ocl::KernelLaunch launch;
-                launch.name = name_ + "::map-chunk";
-                launch.n_items = seg_count;
-                launch.scratch_bytes_per_item = scratch;
-                const ShardView& view = shards_[s];
-                const KernelConfig kernel_config = shard_kernel(s);
-                launch.body = [this, &batch, &slots, &unit_stages, &view,
-                               kernel_config, flat, read_base, delta](
-                                  std::size_t i) -> std::uint64_t {
-                    // Disjoint unit slots; a retried chunk rewrites
-                    // exactly the same ones.
-                    const std::size_t unit = flat + i;
-                    unit_stages[unit] = StageTotals{};
-                    thread_local KernelScratch kernel_scratch;
-                    return map_read_workitem(
-                        *view.fm, *view.reference, *seeder_,
-                        batch.reads[read_base + i], delta, kernel_config,
-                        slots[unit], kernel_scratch, &unit_stages[unit]);
-                };
-                std::vector<ocl::Event> kernel_wait{write};
-                if (st.resident_pending) {
-                    kernel_wait.push_back(st.resident_write);
-                    st.resident_pending = false;
-                }
-                std::vector<ocl::Event> kernel_reuse;
-                if (st.last_drain[set].valid()) {
-                    kernel_reuse.push_back(st.last_drain[set]);
-                }
-                ocl::Event kernel =
-                    queue.enqueue(std::move(launch),
-                                  std::move(kernel_wait),
-                                  std::move(kernel_reuse));
-                st.newest_kernel = kernel;
-
-                const ocl::LaunchStats& write_stats = write.wait();
-                st.bytes_staged += seg_count * n;
-                st.transfer_seconds += write_stats.seconds;
-                ++st.launches;
-
-                const ocl::LaunchStats stats =
-                    kernel.wait(); // throws on fault
-                st.last_kernel[set] = kernel;
-                st.last_kernel_end =
-                    std::max(st.last_kernel_end,
-                             stats.start_seconds + stats.seconds);
-                tally.busy_by_shard[s] += stats.seconds;
-
-                ocl::Event drain = queue.enqueue_read(
-                    st.outputs[set], seg_count * out_bytes_per_read,
-                    {kernel});
-                const ocl::LaunchStats& drain_stats = drain.wait();
-                st.last_drain[set] = drain;
-                st.bytes_drained += seg_count * out_bytes_per_read;
-                st.transfer_seconds += drain_stats.seconds;
-                st.last_drain_end =
-                    std::max(st.last_drain_end,
-                             drain_stats.start_seconds +
-                                 drain_stats.seconds);
-
-                if (auto* recorder = obs::trace()) {
-                    obs::StageCounters chunk_stage;
-                    for (std::size_t u = flat; u < seg_end; ++u) {
-                        chunk_stage += unit_stages[u];
-                    }
-                    obs::record_stage_spans(
-                        *recorder, device.name(), /*track=*/0,
-                        stats.start_seconds,
-                        device.profile().dispatch_overhead_seconds,
-                        stats.seconds, chunk_stage);
-                }
-
-                if (first_segment) {
-                    agg = stats;
-                    first_segment = false;
-                } else {
-                    agg.items += stats.items;
-                    agg.total_ops += stats.total_ops;
-                    agg.seconds += stats.seconds;
-                    agg.queue_wait_seconds += stats.queue_wait_seconds;
-                }
-                flat = seg_end;
-            }
-            return agg;
-        });
-
-    for (std::size_t d = 0; d < devices.size(); ++d) {
-        DeviceStage& st = stages[d];
-        DeviceScheduleStats& pd = schedule.per_device[d];
-        if (st.resident_write.valid()) {
-            // Image stagings already charged per restage below; the
-            // event wait here only settles the last pending transfer.
-            const ocl::LaunchStats& stats = st.resident_write.wait();
-            st.transfer_seconds += stats.seconds;
-        }
-        st.bytes_staged += tallies[d].restage_bytes;
-        pd.stall_seconds +=
-            std::max(0.0, st.last_drain_end - st.last_kernel_end);
-
-        DeviceRun run;
-        run.device_name = pd.device_name;
-        run.reads = pd.items;
-        run.power_scale = config_.power_scale;
-        run.stats = pd.stats;
-        run.bytes_staged = st.bytes_staged;
-        run.bytes_drained = st.bytes_drained;
-        run.transfer_seconds = st.transfer_seconds;
-        run.stall_seconds = pd.stall_seconds;
-        for (const ChunkRecord& c : schedule.records) {
-            if (c.device != d) continue;
-            for (std::size_t u = c.begin; u < c.begin + c.count; ++u) {
-                run.stage += unit_stages[u];
-            }
-        }
-        result.device_runs.push_back(std::move(run));
-    }
-    result.mapping_seconds = schedule.makespan_seconds();
-    result.schedule = std::move(schedule);
-    export_shard_metrics(tallies);
-    finish_transfer_accounting(result);
-    return result;
-}
-
-std::unique_ptr<ShardedMapper> make_sharded_repute(
-    std::vector<ShardView> shards, std::vector<DeviceShare> shares,
-    HeterogeneousMapperConfig config) {
-    return std::make_unique<ShardedMapper>(
-        "REPUTE-sharded", std::move(shards),
-        std::make_unique<filter::MemoryOptimizedSeeder>(
-            config.kernel.s_min),
-        config, std::move(shares));
-}
-
-std::unique_ptr<ShardedMapper> make_sharded_coral(
-    std::vector<ShardView> shards, std::vector<DeviceShare> shares,
-    HeterogeneousMapperConfig config) {
-    config.kernel.collapse_candidates = false; // streaming verification
-    return std::make_unique<ShardedMapper>(
-        "CORAL-sharded", std::move(shards),
-        std::make_unique<filter::HeuristicSeeder>(config.kernel.s_min),
-        config, std::move(shares));
 }
 
 } // namespace repute::core

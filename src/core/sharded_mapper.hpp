@@ -4,12 +4,14 @@
 // A monolithic index must fit every device's quarter-of-RAM allocation
 // ceiling (ocl::DeviceProfile::max_single_allocation — the paper's
 // OpenCL 1.2 embedded constraint), which caps the mappable reference
-// size per device. ShardedMapper lifts that ceiling: the reference is
-// split into K per-shard FM-indexes (index/shard_plan.hpp,
-// index/rixm.hpp) and every read batch is mapped against every shard,
-// with (read-chunk x shard) as the schedulable work unit. Only the
-// *current shard's* image is resident per device, so peak device
-// residency is one shard, not the whole reference.
+// size per device. Sharding lifts that ceiling: the reference is split
+// into K per-shard FM-indexes (index/shard_plan.hpp, index/rixm.hpp)
+// and HeterogeneousMapper (repute_mapper.hpp) maps every read batch
+// against every shard, with (read-chunk x shard) as the schedulable
+// work unit. Only the *current shard's* image is resident per device,
+// so peak device residency is one shard, not the whole reference. This
+// header holds what is specific to K > 1: views over an opened .rixm,
+// the per-read merge, and the factories over shard views.
 //
 // Output identity: each shard indexes its slice plus an overlap
 // overhang into its neighbours, and its kernel runs with the ownership
@@ -25,45 +27,19 @@
 // cap-bound CORAL read can therefore differ — documented in DESIGN.md
 // §5g.
 //
-// Scheduling: the static path walks shards in order per device
-// (restaging the resident image between shards, double-buffered read
-// chunks within a shard); the dynamic path flattens (shard, read) into
-// one unit space for the work-stealing ChunkScheduler and keeps a
-// per-device resident-shard affinity — a chunk whose shard is already
-// resident skips the restage (shard.residency_hits), others pay it
-// (shard.restages / shard.restage_bytes).
+// Residency is observable through the shard.* metrics: a chunk whose
+// shard is already resident skips the restage (shard.residency_hits),
+// others pay it (shard.restages / shard.restage_bytes).
 
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "core/kernels.hpp"
 #include "core/mapping.hpp"
 #include "core/repute_mapper.hpp"
-#include "filter/seed.hpp"
-#include "genomics/sequence.hpp"
-#include "index/fm_index.hpp"
 #include "index/rixm.hpp"
 
 namespace repute::core {
-
-/// Non-owning view of one shard as the mapper consumes it. Local
-/// coordinates index the shard's own text (owned slice + overhangs);
-/// `text_offset` places local 0 in the concatenated reference.
-struct ShardView {
-    const genomics::Reference* reference = nullptr;
-    const index::FmIndex* fm = nullptr;
-    std::uint32_t text_offset = 0;
-    std::uint32_t own_lo = 0; ///< local start of the owned range
-    std::uint32_t own_hi = 0; ///< local end (exclusive)
-
-    /// Global start of the owned range.
-    std::uint32_t base() const noexcept { return text_offset + own_lo; }
-    /// Device image bytes for this shard (packed text + index).
-    std::uint64_t image_bytes() const noexcept {
-        return reference->sequence().memory_bytes() + fm->memory_bytes();
-    }
-};
 
 /// Views over an opened .rixm sharded index (which must outlive them).
 std::vector<ShardView> shard_views_of(const index::ShardedIndex& index);
@@ -79,65 +55,13 @@ void merge_sharded_read(
     std::span<const std::span<const ReadMapping>> per_shard,
     std::uint32_t max_locations, std::vector<ReadMapping>& out);
 
-class ShardedMapper final : public Mapper {
-public:
-    /// `shards` must be non-empty, ordered by base, and outlive the
-    /// mapper (they are views). Shares behave as in HeterogeneousMapper.
-    ShardedMapper(std::string display_name, std::vector<ShardView> shards,
-                  std::unique_ptr<filter::Seeder> seeder,
-                  HeterogeneousMapperConfig config,
-                  std::vector<DeviceShare> shares);
-
-    /// Maps the batch against every shard and merges. Throws
-    /// std::invalid_argument when the shard overhangs are too small for
-    /// this batch (needs overlap >= read_length + delta) — remapping
-    /// with a bigger --overlap is the fix, not silent wrong output.
-    MapResult map(const genomics::ReadBatch& batch,
-                  std::uint32_t delta) override;
-
-    std::string_view name() const noexcept override { return name_; }
-    double power_scale() const noexcept override {
-        return config_.power_scale;
-    }
-
-    std::size_t shard_count() const noexcept { return shards_.size(); }
-    const HeterogeneousMapperConfig& config() const noexcept {
-        return config_;
-    }
-    /// Largest per-shard device image — what the resident buffer holds
-    /// (the per-device peak index residency).
-    std::uint64_t max_image_bytes() const noexcept;
-
-    /// Number of reads of `total` assigned to each share, in order
-    /// (same arithmetic as HeterogeneousMapper::split_workload).
-    std::vector<std::size_t> split_workload(std::size_t total) const;
-
-private:
-    MapResult map_static(const genomics::ReadBatch& batch,
-                         std::uint32_t delta,
-                         std::vector<std::vector<ReadMapping>>& slots,
-                         std::vector<StageTotals>& unit_stages);
-    MapResult map_dynamic(const genomics::ReadBatch& batch,
-                          std::uint32_t delta,
-                          std::vector<std::vector<ReadMapping>>& slots,
-                          std::vector<StageTotals>& unit_stages);
-    void validate_overhangs(const genomics::ReadBatch& batch,
-                            std::uint32_t delta) const;
-    KernelConfig shard_kernel(std::size_t shard) const;
-
-    std::string name_;
-    std::vector<ShardView> shards_;
-    std::unique_ptr<filter::Seeder> seeder_;
-    HeterogeneousMapperConfig config_;
-    std::vector<DeviceShare> shares_;
-};
-
-/// REPUTE / CORAL factories over shard views — the sharded analogues of
-/// make_repute / make_coral (same seeders, same kernel-config rules).
-std::unique_ptr<ShardedMapper> make_sharded_repute(
+/// REPUTE / CORAL factories over shard views — make_repute / make_coral
+/// generalized to any plan (same seeders, same kernel-config rules).
+/// A plan of more than one shard is named "<tool>-sharded".
+std::unique_ptr<HeterogeneousMapper> make_sharded_repute(
     std::vector<ShardView> shards, std::vector<DeviceShare> shares,
     HeterogeneousMapperConfig config = {});
-std::unique_ptr<ShardedMapper> make_sharded_coral(
+std::unique_ptr<HeterogeneousMapper> make_sharded_coral(
     std::vector<ShardView> shards, std::vector<DeviceShare> shares,
     HeterogeneousMapperConfig config = {});
 

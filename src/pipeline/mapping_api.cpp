@@ -123,27 +123,17 @@ void MappingSession::build_pool() {
             "MappingSession: flavor must be 'repute' or 'coral', got: " +
             config_.flavor);
     }
+    // A monolithic index is the one-shard plan.
+    const std::vector<core::ShardView> views =
+        sharded_ ? core::shard_views_of(*sharded_)
+                 : std::vector{core::monolithic_view(multi_->concatenated(),
+                                                     *fm_)};
+    const auto make = config_.flavor == "repute" ? &core::make_sharded_repute
+                                                 : &core::make_sharded_coral;
     const std::size_t pool =
         std::max<std::size_t>(config_.mapper_pool, 1);
     for (std::size_t i = 0; i < pool; ++i) {
-        if (sharded_) {
-            auto views = core::shard_views_of(*sharded_);
-            pool_.push_back(config_.flavor == "repute"
-                                ? core::make_sharded_repute(
-                                      std::move(views), shares,
-                                      mapper_config)
-                                : core::make_sharded_coral(
-                                      std::move(views), shares,
-                                      mapper_config));
-        } else {
-            const auto& reference = multi_->concatenated();
-            pool_.push_back(
-                config_.flavor == "repute"
-                    ? core::make_repute(reference, *fm_, shares,
-                                        mapper_config)
-                    : core::make_coral(reference, *fm_, shares,
-                                       mapper_config));
-        }
+        pool_.push_back(make(views, shares, mapper_config));
         free_.push_back(pool_.back().get());
     }
     export_footprint_metrics();

@@ -5,17 +5,21 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/accuracy.hpp"
 #include "core/kernels.hpp"
 #include "core/mapping.hpp"
 #include "core/report.hpp"
 #include "core/repute_mapper.hpp"
+#include "core/sharded_mapper.hpp"
 #include "filter/memopt_seeder.hpp"
 #include "filter/uniform_seeder.hpp"
 #include "genomics/genome_sim.hpp"
 #include "genomics/read_sim.hpp"
 #include "index/fm_index.hpp"
+#include "obs/trace.hpp"
 #include "ocl/platform.hpp"
 
 namespace {
@@ -28,8 +32,11 @@ using repute::core::DeviceShare;
 using repute::core::KernelConfig;
 using repute::core::make_coral;
 using repute::core::make_repute;
+using repute::core::make_sharded_repute;
 using repute::core::MapResult;
 using repute::core::ReadMapping;
+using repute::core::ScheduleMode;
+using repute::core::ShardView;
 using repute::genomics::GenomeSimConfig;
 using repute::genomics::ReadSimConfig;
 using repute::genomics::Reference;
@@ -289,6 +296,41 @@ TEST_F(CoreTest, TinyDeviceMemoryForcesChunkingWithSameResults) {
     const auto r2 = tiny_mapper->map(sim_->batch, 4);
     for (std::size_t i = 0; i < r1.per_read.size(); ++i) {
         ASSERT_EQ(r1.per_read[i], r2.per_read[i]) << "read " << i;
+    }
+
+    // The same tiny device on a two-shard plan, under both schedules:
+    // the ceiling must split the work, and count the split, while the
+    // output stays that of the big device.
+    const std::string text = reference_->sequence().to_string();
+    const auto length = static_cast<std::uint32_t>(text.size());
+    const std::uint32_t mid = length / 2;
+    const std::uint32_t overlap = 256; // >= read length + delta
+    const Reference left =
+        Reference::from_ascii("left", text.substr(0, mid + overlap));
+    const Reference right =
+        Reference::from_ascii("right", text.substr(mid - overlap));
+    const FmIndex left_fm(left, 4);
+    const FmIndex right_fm(right, 4);
+    const std::vector<ShardView> plan{
+        {&left, &left_fm, 0, 0, mid},
+        {&right, &right_fm, mid - overlap, overlap,
+         length - (mid - overlap)}};
+    for (const ScheduleMode schedule :
+         {ScheduleMode::StaticSplit, ScheduleMode::Dynamic}) {
+        config.schedule = schedule;
+        const auto expected = make_sharded_repute(plan, {{&big, 1.0}}, config)
+                                  ->map(sim_->batch, 4);
+        repute::obs::TraceSession session;
+        const auto chunked = make_sharded_repute(plan, {{&tiny, 1.0}}, config)
+                                 ->map(sim_->batch, 4);
+        for (std::size_t i = 0; i < expected.per_read.size(); ++i) {
+            ASSERT_EQ(expected.per_read[i], chunked.per_read[i])
+                << "read " << i << ", dynamic "
+                << (schedule == ScheduleMode::Dynamic);
+        }
+        const auto counters = session.registry().counter_values();
+        ASSERT_TRUE(counters.count("mapper.buffer_ceiling_splits"));
+        EXPECT_GT(counters.at("mapper.buffer_ceiling_splits"), 0u);
     }
 }
 

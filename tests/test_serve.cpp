@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <sstream>
 #include <string>
 #include <thread>
@@ -69,9 +71,15 @@ protected:
         session_ = pipeline::MappingSession::from_multi(
             genomics::MultiReference(std::move(genome)), sconfig);
 
+        // One socket per test process: ctest -j runs every TEST as its
+        // own process, and a shared path lets one test's client reach
+        // another test's server. Test name + pid keeps it unique and
+        // well under the 108-byte sun_path limit.
         serve::ServerConfig server_config;
         server_config.socket_path =
-            testing::TempDir() + "repute_test_serve.sock";
+            testing::TempDir() + "repute_" +
+            testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()) + ".sock";
         server_config.handlers = 2;
         server_ = std::make_unique<serve::Server>(*session_,
                                                   server_config);

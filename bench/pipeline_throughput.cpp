@@ -15,9 +15,9 @@
 // parse FASTQ, map, emit SAM — and their outputs are byte-compared
 // (the run fails if they ever diverge). The monolithic path is
 // examples/map_fastq's shape: read everything, one map() call, one
-// emit pass. The streaming path is the repute CLI's shape: chunked
-// parsing, --threads mapper workers, ordered emission, all overlapped
-// through bounded queues. The difference is real host wall clock, so
+// emit pass. The streaming path is the repute CLI's shape: length-class
+// buckets, --threads mapper workers, input-order emission, all
+// overlapped through bounded queues. The difference is real host wall clock, so
 // the win scales with available cores (parse/map/emit overlap); on a
 // single-core host expect parity, not regression.
 
@@ -225,13 +225,8 @@ int main(int argc, char** argv) {
         pipeline::StreamingFastxReader reader(in, reader_config);
         pipeline::SamEmitter emitter(sam, multi, emit_config);
         emitter.write_header();
-        const auto stats = pipeline::run_mapping_pipeline(
-            reader, mappers, delta,
-            [&](std::size_t, const genomics::ReadBatch& batch,
-                const core::MapResult& result) {
-                emitter.emit(batch, result);
-            },
-            pipe_config);
+        const auto stats = pipeline::run_pipeline(reader, mappers, delta,
+                                                  emitter, sam, pipe_config);
         stream_best = std::min(stream_best, timer.seconds());
         stream_sam = sam.str();
         stream_stats = stats;

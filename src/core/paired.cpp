@@ -237,6 +237,8 @@ PairedResult PairedMapper::map_pairs(const genomics::ReadBatch& first,
 
     PairedResult result;
     result.mapping_seconds = r1.mapping_seconds + r2.mapping_seconds;
+    result.staged = r1.bytes_staged() + r2.bytes_staged();
+    result.drained = r1.bytes_drained() + r2.bytes_drained();
     result.pairs.resize(first.size());
 
     for (std::size_t i = 0; i < first.size(); ++i) {

@@ -46,8 +46,15 @@ struct PairMapping {
 struct PairedResult {
     std::vector<PairMapping> pairs; ///< best combination per pair
     double mapping_seconds = 0.0;   ///< both single-end passes + rescue
+    /// Host<->device traffic of both single-end passes (rescue aligns
+    /// host-side and moves nothing).
+    std::uint64_t staged = 0;
+    std::uint64_t drained = 0;
 
     std::size_t count(PairClass c) const noexcept;
+    /// Same meaning as MapResult's, so pipeline sinks treat both alike.
+    std::uint64_t bytes_staged() const noexcept { return staged; }
+    std::uint64_t bytes_drained() const noexcept { return drained; }
 };
 
 /// SAM export of a paired run: two records per pair (first/second in

@@ -1,25 +1,25 @@
 #pragma once
-// Bounded, ordered, streaming batch pipeline.
+// Bounded streaming batch pipeline.
 //
 // Three stages connected by bounded queues:
 //
 //   reader thread --in queue--> map workers --out queue--> writer thread
 //
 // The reader pulls units (read batches) from a source callback, the map
-// workers transform them (heterogeneous mapping), and the writer emits
-// results through a sink callback *in input order* — an ordering buffer
-// in the writer holds early-finishing units until their turn, so output
-// is deterministic even when a skewed device fleet completes batches
-// out of order. Bounded queues give backpressure in both directions:
-// the reader can run at most queue_depth batches ahead (batch i+1
-// parses while batch i maps — the double buffer generalized), and a
-// slow writer pauses mapping rather than letting results pile up. Peak
-// pipeline memory is therefore O(queue_depth x batch size), not file
-// size.
+// workers transform them (heterogeneous mapping), and the writer hands
+// each result to a sink callback *in completion order*: on a skewed
+// device fleet a fast worker's later batch reaches the sink before a
+// slow worker's earlier one. Units carry their own record ordinals, so
+// the sink restores input order with one RecordReorderWriter (see
+// run_pipeline) — the engine keeps no second ordering buffer.
+// Bounded queues give backpressure in both directions: the reader can
+// run at most queue_depth batches ahead (batch i+1 parses while batch i
+// maps — the double buffer generalized), and a slow writer pauses
+// mapping rather than letting results pile up. Peak pipeline memory is
+// therefore O(queue_depth x batch size), not file size.
 //
-// The template is unit-agnostic so single-end batches (ReadBatch ->
-// MapResult) and paired lockstep batches share one engine; see
-// mapping_pipeline.hpp for the concrete mapping front-ends.
+// The template is unit-agnostic so single-end and paired buckets share
+// one engine; see mapping_pipeline.hpp for the mapping entry point.
 //
 // Error handling: the first exception thrown by any stage closes both
 // queues, drains the pipeline, and is rethrown from run() on the
@@ -28,7 +28,6 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -56,9 +55,9 @@ public:
     /// Transforms one unit on map worker `worker`.
     using MapFn = std::function<Result(const Unit& unit,
                                        std::size_t worker)>;
-    /// Receives (sequence number, unit, result) strictly in input order.
-    using Sink = std::function<void(std::size_t seq, const Unit& unit,
-                                    const Result& result)>;
+    /// Receives each (unit, result) in completion order, serialized on
+    /// the writer thread.
+    using Sink = std::function<void(const Unit& unit, const Result& result)>;
 
     explicit BatchPipeline(PipelineConfig config) : config_(config) {
         if (config_.queue_depth == 0) config_.queue_depth = 1;
@@ -73,9 +72,8 @@ public:
             Unit unit;
             Result result;
         };
-        BoundedQueue<std::pair<std::size_t, Unit>> in(config_.queue_depth);
-        BoundedQueue<std::pair<std::size_t, Mapped>> out(
-            config_.queue_depth);
+        BoundedQueue<Unit> in(config_.queue_depth);
+        BoundedQueue<Mapped> out(config_.queue_depth);
 
         PipelineStats stats;
         stats.map_workers = config_.map_workers;
@@ -94,7 +92,6 @@ public:
 
         std::thread reader([&] {
             try {
-                std::size_t seq = 0;
                 util::Stopwatch busy;
                 for (;;) {
                     busy.reset();
@@ -108,13 +105,12 @@ public:
                     in_flight.enter();
                     detail::gauge_set("pipeline.batches_in_flight",
                                       in_flight.current());
-                    if (!in.push({seq, std::move(unit)})) {
+                    if (!in.push(std::move(unit))) {
                         in_flight.leave();
                         break; // closed by an error elsewhere
                     }
                     detail::gauge_set("pipeline.input_queue_depth",
                                       static_cast<double>(in.depth()));
-                    ++seq;
                 }
             } catch (...) {
                 capture(std::current_exception());
@@ -130,9 +126,9 @@ public:
             workers.emplace_back([&, w] {
                 try {
                     util::Stopwatch busy;
-                    while (auto item = in.pop()) {
+                    while (auto unit = in.pop()) {
                         busy.reset();
-                        Mapped mapped{std::move(item->second), Result{}};
+                        Mapped mapped{std::move(*unit), Result{}};
                         mapped.result = map(mapped.unit, w);
                         const double seconds = busy.seconds();
                         {
@@ -141,7 +137,7 @@ public:
                         }
                         detail::hist_observe("pipeline.batch_map_seconds",
                                              seconds);
-                        if (!out.push({item->first, std::move(mapped)})) {
+                        if (!out.push(std::move(mapped))) {
                             break;
                         }
                         detail::gauge_set(
@@ -159,31 +155,18 @@ public:
 
         std::thread writer([&] {
             try {
-                std::map<std::size_t, Mapped> reorder;
-                std::size_t expected = 0;
                 util::Stopwatch busy;
-                while (auto item = out.pop()) {
-                    reorder.emplace(item->first, std::move(item->second));
-                    while (true) {
-                        const auto ready = reorder.find(expected);
-                        if (ready == reorder.end()) break;
-                        busy.reset();
-                        sink(expected, ready->second.unit,
-                             ready->second.result);
-                        {
-                            const std::lock_guard lock(stats_mutex);
-                            stats.writer_seconds += busy.seconds();
-                            ++stats.units;
-                        }
-                        reorder.erase(ready);
-                        in_flight.leave();
-                        detail::gauge_set("pipeline.batches_in_flight",
-                                          in_flight.current());
-                        ++expected;
+                while (auto mapped = out.pop()) {
+                    busy.reset();
+                    sink(mapped->unit, mapped->result);
+                    {
+                        const std::lock_guard lock(stats_mutex);
+                        stats.writer_seconds += busy.seconds();
+                        ++stats.units;
                     }
-                    const std::lock_guard lock(stats_mutex);
-                    stats.max_reorder_depth =
-                        std::max(stats.max_reorder_depth, reorder.size());
+                    in_flight.leave();
+                    detail::gauge_set("pipeline.batches_in_flight",
+                                      in_flight.current());
                 }
             } catch (...) {
                 capture(std::current_exception());

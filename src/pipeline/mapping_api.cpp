@@ -225,7 +225,6 @@ MapResponse MappingSession::map(const MapRequest& request,
 
     PipelineConfig pipe_config;
     pipe_config.queue_depth = request.queue_depth;
-    pipe_config.map_workers = mappers.size();
 
     if (request.reads2 != nullptr) { // paired-end
         std::vector<std::unique_ptr<core::PairedMapper>> paired_owned;
@@ -237,23 +236,8 @@ MapResponse MappingSession::map(const MapRequest& request,
         }
         PairedStreamingReader reader(*request.reads, *request.reads2,
                                      request.reader);
-        RecordReorderWriter writer(sam_out);
-        response.pipeline = run_bucketed_paired_pipeline(
-            reader, paired, request.delta,
-            [&](std::size_t, const OrderedPairBatch& unit,
-                const core::PairedResult& result) {
-                // Sinks run serialized in the pipeline's writer thread;
-                // the reorder writer restores input order across the
-                // interleaved length-class buckets.
-                auto rendered = emitter.render_paired(unit.first,
-                                                      unit.second, result);
-                for (std::size_t i = 0; i < rendered.size(); ++i) {
-                    writer.add(unit.ordinals[i],
-                               std::move(rendered[i]));
-                }
-            },
-            pipe_config);
-        writer.finish();
+        response.pipeline = run_pipeline(reader, paired, request.delta,
+                                         emitter, sam_out, pipe_config);
         // Paired reader stats count pairs; the response counts reads.
         response.reads_in =
             2 * (reader.stats().records + reader.stats().dropped());
@@ -274,27 +258,15 @@ MapResponse MappingSession::map(const MapRequest& request,
         response.xfer_bytes_drained = result.bytes_drained();
     } else { // single-end streaming (length-bucketed)
         StreamingFastxReader reader(*request.reads, request.reader);
-        RecordReorderWriter writer(sam_out);
-        response.pipeline = run_bucketed_pipeline(
-            reader, mappers, request.delta,
-            [&](std::size_t, const OrderedBatch& unit,
-                const core::MapResult& result) {
-                // Sinks run serialized in the pipeline's writer thread,
-                // so plain accumulation is safe; the reorder writer
-                // restores input order across interleaved buckets.
-                response.xfer_bytes_staged += result.bytes_staged();
-                response.xfer_bytes_drained += result.bytes_drained();
-                for (std::size_t i = 0; i < unit.batch.size(); ++i) {
-                    writer.add(unit.ordinals[i],
-                               emitter.render_read(unit.batch, i,
-                                                   result));
-                }
-            },
-            pipe_config);
-        writer.finish();
+        response.pipeline = run_pipeline(reader, mappers, request.delta,
+                                         emitter, sam_out, pipe_config);
         response.reads_in =
             reader.stats().records + reader.stats().dropped();
         response.dropped = reader.stats().dropped();
+    }
+    if (!request.monolithic) {
+        response.xfer_bytes_staged = response.pipeline.bytes_staged;
+        response.xfer_bytes_drained = response.pipeline.bytes_drained;
     }
 
     response.emitted = emitter.stats();

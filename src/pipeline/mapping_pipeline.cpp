@@ -1,97 +1,90 @@
 #include "pipeline/mapping_pipeline.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace repute::pipeline {
 
-PipelineStats run_mapping_pipeline(StreamingFastxReader& reader,
-                                   std::span<core::Mapper* const> mappers,
-                                   std::uint32_t delta,
-                                   const BatchSink& sink,
-                                   PipelineConfig config) {
-    if (mappers.empty()) {
-        throw std::invalid_argument("run_mapping_pipeline: no mappers");
-    }
-    config.map_workers = mappers.size();
-    BatchPipeline<genomics::ReadBatch, core::MapResult> engine(config);
-    return engine.run(
-        [&](genomics::ReadBatch& batch) {
-            return reader.next_batch(batch);
-        },
-        [&](const genomics::ReadBatch& batch, std::size_t worker) {
-            return mappers[worker]->map(batch, delta);
-        },
-        [&](std::size_t seq, const genomics::ReadBatch& batch,
-            const core::MapResult& result) { sink(seq, batch, result); });
+namespace {
+
+core::MapResult map_unit(core::Mapper& mapper, const OrderedBatch& unit,
+                         std::uint32_t delta) {
+    return mapper.map(unit.batch, delta);
 }
 
-PipelineStats run_paired_pipeline(
-    StreamingFastxReader& reader1, StreamingFastxReader& reader2,
-    std::span<core::PairedMapper* const> mappers, std::uint32_t delta,
-    const PairedSink& sink, PipelineConfig config) {
-    if (mappers.empty()) {
-        throw std::invalid_argument("run_paired_pipeline: no mappers");
-    }
-    config.map_workers = mappers.size();
-    BatchPipeline<PairedUnit, core::PairedResult> engine(config);
-    return engine.run(
-        [&](PairedUnit& unit) {
-            const bool more1 = reader1.next_batch(unit.first);
-            const bool more2 = reader2.next_batch(unit.second);
-            if (more1 != more2 ||
-                unit.first.size() != unit.second.size()) {
-                throw std::runtime_error(
-                    "paired inputs desynchronized: mate files yield "
-                    "different record counts");
-            }
-            return more1;
-        },
-        [&](const PairedUnit& unit, std::size_t worker) {
-            return mappers[worker]->map_pairs(unit.first, unit.second,
-                                              delta);
-        },
-        [&](std::size_t seq, const PairedUnit& unit,
-            const core::PairedResult& result) { sink(seq, unit, result); });
+core::PairedResult map_unit(core::PairedMapper& mapper,
+                            const OrderedPairBatch& unit,
+                            std::uint32_t delta) {
+    return mapper.map_pairs(unit.first, unit.second, delta);
 }
 
-PipelineStats run_bucketed_pipeline(
-    StreamingFastxReader& reader, std::span<core::Mapper* const> mappers,
-    std::uint32_t delta, const OrderedBatchSink& sink,
-    PipelineConfig config) {
-    if (mappers.empty()) {
-        throw std::invalid_argument("run_bucketed_pipeline: no mappers");
+/// Renders a unit into `writer`, one string per ordinal: a read's
+/// records, or a pair's two. Single-end renders read by read so an
+/// in-order batch streams straight through instead of materializing.
+void write(RecordReorderWriter& writer, SamEmitter& emitter,
+           const OrderedBatch& unit, const core::MapResult& result) {
+    for (std::size_t i = 0; i < unit.batch.size(); ++i) {
+        writer.add(unit.ordinals[i],
+                   emitter.render_read(unit.batch, i, result));
     }
-    config.map_workers = mappers.size();
-    BatchPipeline<OrderedBatch, core::MapResult> engine(config);
-    return engine.run(
-        [&](OrderedBatch& unit) { return reader.next_bucket(unit); },
-        [&](const OrderedBatch& unit, std::size_t worker) {
-            return mappers[worker]->map(unit.batch, delta);
-        },
-        [&](std::size_t seq, const OrderedBatch& unit,
-            const core::MapResult& result) { sink(seq, unit, result); });
 }
 
-PipelineStats run_bucketed_paired_pipeline(
-    PairedStreamingReader& reader,
-    std::span<core::PairedMapper* const> mappers, std::uint32_t delta,
-    const OrderedPairSink& sink, PipelineConfig config) {
-    if (mappers.empty()) {
-        throw std::invalid_argument(
-            "run_bucketed_paired_pipeline: no mappers");
+void write(RecordReorderWriter& writer, SamEmitter& emitter,
+           const OrderedPairBatch& unit, const core::PairedResult& result) {
+    auto rendered = emitter.render_paired(unit.first, unit.second, result);
+    for (std::size_t i = 0; i < rendered.size(); ++i) {
+        writer.add(unit.ordinals[i], std::move(rendered[i]));
     }
+}
+
+template <typename Unit, typename Reader, typename Mapper>
+PipelineStats run(Reader& reader, std::span<Mapper* const> mappers,
+                  std::uint32_t delta, SamEmitter& emitter,
+                  std::ostream& out, PipelineConfig config) {
+    if (mappers.empty()) {
+        throw std::invalid_argument("run_pipeline: no mappers");
+    }
+    using Result = decltype(map_unit(*mappers[0], Unit{}, delta));
     config.map_workers = mappers.size();
-    BatchPipeline<OrderedPairBatch, core::PairedResult> engine(config);
-    return engine.run(
-        [&](OrderedPairBatch& unit) { return reader.next_bucket(unit); },
-        [&](const OrderedPairBatch& unit, std::size_t worker) {
-            return mappers[worker]->map_pairs(unit.first, unit.second,
-                                              delta);
+    RecordReorderWriter writer(out);
+    std::uint64_t staged = 0;
+    std::uint64_t drained = 0;
+    BatchPipeline<Unit, Result> engine(config);
+    PipelineStats stats = engine.run(
+        [&](Unit& unit) { return reader.next_bucket(unit); },
+        [&](const Unit& unit, std::size_t worker) {
+            return map_unit(*mappers[worker], unit, delta);
         },
-        [&](std::size_t seq, const OrderedPairBatch& unit,
-            const core::PairedResult& result) {
-            sink(seq, unit, result);
+        [&](const Unit& unit, const Result& result) {
+            // Sinks run serialized in the writer thread, so plain
+            // accumulation is safe; the reorder writer restores input
+            // order across buckets that complete out of order.
+            staged += result.bytes_staged();
+            drained += result.bytes_drained();
+            write(writer, emitter, unit, result);
         });
+    writer.finish();
+    stats.max_reorder_parked = writer.max_parked();
+    stats.bytes_staged = staged;
+    stats.bytes_drained = drained;
+    return stats;
+}
+
+} // namespace
+
+PipelineStats run_pipeline(StreamingFastxReader& reader,
+                           std::span<core::Mapper* const> mappers,
+                           std::uint32_t delta, SamEmitter& emitter,
+                           std::ostream& out, PipelineConfig config) {
+    return run<OrderedBatch>(reader, mappers, delta, emitter, out, config);
+}
+
+PipelineStats run_pipeline(PairedStreamingReader& reader,
+                           std::span<core::PairedMapper* const> mappers,
+                           std::uint32_t delta, SamEmitter& emitter,
+                           std::ostream& out, PipelineConfig config) {
+    return run<OrderedPairBatch>(reader, mappers, delta, emitter, out,
+                                 config);
 }
 
 } // namespace repute::pipeline

@@ -11,9 +11,10 @@ std::string PipelineStats::format() const {
     std::string out;
     std::snprintf(line, sizeof(line),
                   "pipeline: %zu batches, %zu map worker(s), queue depth "
-                  "%zu, peak in flight %zu (reorder %zu), wall %.3fs\n",
+                  "%zu, peak in flight %zu (reorder %zu records), wall "
+                  "%.3fs\n",
                   units, map_workers, queue_depth, max_in_flight,
-                  max_reorder_depth, wall_seconds);
+                  max_reorder_parked, wall_seconds);
     out += line;
     const auto stage = [&](const char* name, double busy, double stall) {
         std::snprintf(line, sizeof(line),

@@ -21,10 +21,13 @@ struct PipelineStats {
     std::size_t map_workers = 0;
     std::size_t queue_depth = 0;
     /// Peak batches resident anywhere in the pipeline (queues, map
-    /// stage, reorder buffer) — the memory-bound witness.
+    /// stage, sink) — the memory-bound witness.
     std::size_t max_in_flight = 0;
-    /// Peak batches parked in the writer's ordering buffer.
-    std::size_t max_reorder_depth = 0;
+    /// Peak rendered records parked in the output reorder writer.
+    std::size_t max_reorder_parked = 0;
+    /// Host<->device traffic the mapped units staged/drained.
+    std::uint64_t bytes_staged = 0;
+    std::uint64_t bytes_drained = 0;
     /// Host seconds each stage spent doing work...
     double reader_seconds = 0.0;
     double map_seconds = 0.0; ///< summed across workers

@@ -66,9 +66,9 @@ public:
 
     /// render_*: the exact bytes emit()/emit_paired() would write for
     /// one read (or one pair — two lines), returned instead of written.
-    /// Stats update as if emitted. Used by the bucketed streaming path,
-    /// which reorders per-read strings by global input ordinal before
-    /// they reach the output stream.
+    /// Stats update as if emitted. Used by the streaming path, which
+    /// reorders per-read strings by global input ordinal before they
+    /// reach the output stream.
     std::string render_read(const genomics::ReadBatch& batch,
                             std::size_t index,
                             const core::MapResult& result);
@@ -94,7 +94,9 @@ private:
 };
 
 /// Restores input order over per-record SAM strings produced out of
-/// order (interleaved length-class buckets): add() parks a record under
+/// order (interleaved length-class buckets, batches completing out of
+/// order on the map workers) — the streaming path's only ordering
+/// buffer: add() parks a record under
 /// its dense global ordinal and flushes the contiguous run starting at
 /// the next unwritten ordinal. finish() asserts nothing is left parked
 /// (a gap means an ordinal was never produced).

@@ -1,7 +1,10 @@
 #include "pipeline/streaming_fastx.hpp"
 
+#include <array>
+#include <fstream>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "pipeline/pipeline_stats.hpp"
@@ -10,21 +13,6 @@
 namespace repute::pipeline {
 
 namespace {
-
-std::unique_ptr<std::ifstream> open_or_throw(const std::string& path) {
-    auto in = std::make_unique<std::ifstream>(path, std::ios::binary);
-    if (!*in) throw std::runtime_error("cannot open file: " + path);
-    return in;
-}
-
-/// Class ceiling for a read of length `len` under `config`'s grid.
-/// Fixed mode (read_length != 0) is handled by the callers' filters.
-std::size_t class_ceiling(std::size_t len,
-                          const StreamingReaderConfig& config) {
-    const std::size_t grid =
-        config.length_grid == 0 ? 1 : config.length_grid;
-    return (len + grid - 1) / grid * grid;
-}
 
 genomics::Read make_read(const genomics::FastqRecord& record,
                          std::size_t id) {
@@ -39,188 +27,57 @@ genomics::Read make_read(const genomics::FastqRecord& record,
     return read;
 }
 
+/// A read name without its trailing mate suffix ("/1" or "/2").
+std::string_view mate_stem(std::string_view name) {
+    if (name.size() >= 2 && name[name.size() - 2] == '/' &&
+        (name.back() == '1' || name.back() == '2')) {
+        name.remove_suffix(2);
+    }
+    return name;
+}
+
 } // namespace
 
-StreamingFastxReader::StreamingFastxReader(std::istream& in,
-                                           StreamingReaderConfig config)
-    : stream_(in, config.format), config_(config) {
-    stats_.read_length = config_.read_length;
+namespace detail {
+
+BucketingReader::BucketingReader(std::span<std::istream* const> in,
+                                 const StreamingReaderConfig& config)
+    : config_(config) {
+    for (std::istream* stream : in) add_mate(*stream);
 }
 
-StreamingFastxReader::StreamingFastxReader(const std::string& path,
-                                           StreamingReaderConfig config)
-    : owned_(open_or_throw(path)),
-      stream_(*owned_, config.format),
-      config_(config) {
-    stats_.read_length = config_.read_length;
-}
-
-bool StreamingFastxReader::next_batch(genomics::ReadBatch& out) {
-    out.reads.clear();
-    out.read_length = stats_.read_length;
-
-    genomics::FastqRecord record;
-    std::string error;
-    while (out.reads.size() < config_.batch_size) {
-        const auto status = stream_.next(record, &error);
-        if (status == genomics::FastxRecordStream::Status::End) break;
-        if (status == genomics::FastxRecordStream::Status::Malformed) {
-            if (config_.on_malformed == OnMalformed::Fail) {
-                throw std::runtime_error("record " +
-                                         std::to_string(
-                                             stream_.records_seen()) +
-                                         ": " + error);
-            }
-            ++stats_.dropped_malformed;
-            stats_.last_error = error;
-            continue;
+BucketingReader::BucketingReader(std::span<const std::string> paths,
+                                 const StreamingReaderConfig& config)
+    : config_(config) {
+    for (const std::string& path : paths) {
+        owned_.push_back(
+            std::make_unique<std::ifstream>(path, std::ios::binary));
+        if (!*owned_.back()) {
+            throw std::runtime_error("cannot open file: " + path);
         }
-        if (stats_.read_length == 0) {
-            // First well-formed record locks the batch read length.
-            stats_.read_length = record.sequence.size();
-            out.read_length = stats_.read_length;
-        }
-        if (record.sequence.size() != stats_.read_length) {
-            ++stats_.dropped_length;
-            continue;
-        }
-        genomics::Read read;
-        read.id = static_cast<std::uint32_t>(out.reads.size());
-        read.name = record.name;
-        read.quality = record.quality;
-        read.codes.resize(record.sequence.size());
-        for (std::size_t i = 0; i < record.sequence.size(); ++i) {
-            read.codes[i] = util::base_to_code(record.sequence[i]);
-        }
-        out.reads.push_back(std::move(read));
-        ++stats_.records;
-    }
-
-    if (out.reads.empty()) return false;
-    ++stats_.batches;
-    return true;
-}
-
-void StreamingFastxReader::flush_bucket(std::size_t ceiling) {
-    auto it = buckets_.find(ceiling);
-    if (it == buckets_.end()) return;
-    Bucket& bucket = it->second;
-    detail::hist_observe("pipeline.bucket_occupancy",
-                         static_cast<double>(bucket.batch.reads.size()) /
-                             static_cast<double>(config_.batch_size));
-    detail::counter_add("pipeline.pad_bases", bucket.pad_bases);
-    buffered_ -= bucket.batch.reads.size();
-    ready_.push_back({std::move(bucket.batch), std::move(bucket.ordinals)});
-    buckets_.erase(it);
-}
-
-void StreamingFastxReader::flush_oldest() {
-    std::size_t oldest_key = 0;
-    std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-    for (const auto& [key, bucket] : buckets_) {
-        if (!bucket.ordinals.empty() && bucket.ordinals.front() < oldest) {
-            oldest = bucket.ordinals.front();
-            oldest_key = key;
-        }
-    }
-    if (oldest != std::numeric_limits<std::uint64_t>::max()) {
-        flush_bucket(oldest_key);
+        add_mate(*owned_.back());
     }
 }
 
-bool StreamingFastxReader::next_bucket(OrderedBatch& out) {
-    const std::size_t span_limit =
-        config_.batch_size *
-        (config_.max_deferred_batches == 0 ? 1
-                                           : config_.max_deferred_batches);
-    genomics::FastqRecord record;
-    std::string error;
-    while (ready_.empty() && !input_done_) {
-        const auto status = stream_.next(record, &error);
-        if (status == genomics::FastxRecordStream::Status::End) {
-            input_done_ = true;
-            // Flush surviving buckets oldest-record-first so downstream
-            // reordering stays shallow.
-            while (!buckets_.empty()) flush_oldest();
-            break;
-        }
-        if (status == genomics::FastxRecordStream::Status::Malformed) {
-            if (config_.on_malformed == OnMalformed::Fail) {
-                throw std::runtime_error(
-                    "record " + std::to_string(stream_.records_seen()) +
-                    ": " + error);
-            }
-            ++stats_.dropped_malformed;
-            stats_.last_error = error;
-            continue;
-        }
-        const std::size_t len = record.sequence.size();
-        if (len == 0 || (config_.read_length != 0 &&
-                         len != config_.read_length)) {
-            ++stats_.dropped_length;
-            continue;
-        }
-        const std::size_t ceiling = config_.read_length != 0
-                                        ? config_.read_length
-                                        : class_ceiling(len, config_);
-        if (classes_seen_.insert(ceiling).second) {
-            stats_.length_classes = classes_seen_.size();
-        }
-        if (ceiling > stats_.read_length) stats_.read_length = ceiling;
-        Bucket& bucket = buckets_[ceiling];
-        bucket.batch.read_length = ceiling; // virtual pad: scratch size
-        bucket.pad_bases += ceiling - len;  // codes stay true-length
-        bucket.ordinals.push_back(next_ordinal_++);
-        bucket.batch.reads.push_back(
-            make_read(record, bucket.batch.reads.size()));
-        ++buffered_;
-        ++stats_.records;
-        stats_.pad_bases += ceiling - len;
-        if (bucket.batch.reads.size() >= config_.batch_size) {
-            flush_bucket(ceiling);
-        } else if (buffered_ > span_limit) {
-            flush_oldest();
-        }
-    }
-
-    if (ready_.empty()) return false;
-    out = std::move(ready_.front());
-    ready_.pop_front();
-    ++stats_.batches;
-    return true;
+void BucketingReader::add_mate(std::istream& in) {
+    mates_.emplace_back().stream =
+        std::make_unique<genomics::FastxRecordStream>(in);
 }
 
-PairedStreamingReader::PairedStreamingReader(std::istream& in1,
-                                             std::istream& in2,
-                                             StreamingReaderConfig config)
-    : stream1_(in1, config.format),
-      stream2_(in2, config.format),
-      config_(config) {}
-
-PairedStreamingReader::PairedStreamingReader(const std::string& path1,
-                                             const std::string& path2,
-                                             StreamingReaderConfig config)
-    : owned1_(open_or_throw(path1)),
-      owned2_(open_or_throw(path2)),
-      stream1_(*owned1_, config.format),
-      stream2_(*owned2_, config.format),
-      config_(config) {}
-
-void PairedStreamingReader::flush_bucket(std::uint64_t key) {
+void BucketingReader::flush(std::uint64_t key) {
     auto it = buckets_.find(key);
     if (it == buckets_.end()) return;
-    PairBucket& bucket = it->second;
-    detail::hist_observe("pipeline.bucket_occupancy",
-                         static_cast<double>(bucket.first.reads.size()) /
-                             static_cast<double>(config_.batch_size));
-    detail::counter_add("pipeline.pad_bases", bucket.pad_bases);
-    buffered_ -= bucket.first.reads.size();
-    ready_.push_back({std::move(bucket.first), std::move(bucket.second),
-                      std::move(bucket.ordinals)});
+    Bucket& bucket = it->second;
+    hist_observe("pipeline.bucket_occupancy",
+                 static_cast<double>(bucket.ordinals.size()) /
+                     static_cast<double>(config_.batch_size));
+    counter_add("pipeline.pad_bases", bucket.pad_bases);
+    buffered_ -= bucket.ordinals.size();
+    ready_.push_back(std::move(bucket));
     buckets_.erase(it);
 }
 
-void PairedStreamingReader::flush_oldest() {
+void BucketingReader::flush_oldest() {
     std::uint64_t oldest_key = 0;
     std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
     for (const auto& [key, bucket] : buckets_) {
@@ -230,93 +87,153 @@ void PairedStreamingReader::flush_oldest() {
         }
     }
     if (oldest != std::numeric_limits<std::uint64_t>::max()) {
-        flush_bucket(oldest_key);
+        flush(oldest_key);
     }
 }
 
-bool PairedStreamingReader::next_bucket(OrderedPairBatch& out) {
+void BucketingReader::accept() {
+    const Mate& lead = mates_.front();
+    if (check_names_) {
+        for (std::size_t m = 1; m < mates_.size(); ++m) {
+            const Mate& mate = mates_[m];
+            if (mate_stem(mate.record.name) != mate_stem(lead.record.name)) {
+                throw std::runtime_error(
+                    "paired inputs desynchronized after a dropped record: "
+                    "mate 1 record " +
+                    std::to_string(lead.stream->records_seen()) + " '" +
+                    lead.record.name + "' vs mate " +
+                    std::to_string(m + 1) + " record " +
+                    std::to_string(mate.stream->records_seen()) + " '" +
+                    mate.record.name + "'");
+            }
+        }
+        check_names_ = false;
+    }
+    const std::size_t grid =
+        config_.length_grid == 0 ? 1 : config_.length_grid;
+    std::uint64_t key = 0;
+    std::size_t pad = 0;
+    for (Mate& mate : mates_) {
+        const std::size_t len = mate.record.sequence.size();
+        if (len == 0 ||
+            (config_.read_length != 0 && len != config_.read_length)) {
+            ++stats_.dropped_length;
+            return;
+        }
+        mate.ceiling = config_.read_length != 0
+                           ? config_.read_length
+                           : (len + grid - 1) / grid * grid;
+        key = (key << 32) | static_cast<std::uint64_t>(mate.ceiling);
+        pad += mate.ceiling - len; // codes stay true-length
+    }
+    if (classes_seen_.insert(key).second) {
+        stats_.length_classes = classes_seen_.size();
+    }
+    Bucket& bucket = buckets_[key];
+    if (bucket.mates.empty()) {
+        bucket.mates.resize(mates_.size());
+        for (std::size_t m = 0; m < mates_.size(); ++m) {
+            bucket.mates[m].read_length = mates_[m].ceiling; // virtual pad
+        }
+    }
+    bucket.pad_bases += pad;
+    for (std::size_t m = 0; m < mates_.size(); ++m) {
+        bucket.mates[m].reads.push_back(
+            make_read(mates_[m].record, bucket.ordinals.size()));
+    }
+    bucket.ordinals.push_back(next_ordinal_++);
+    ++buffered_;
+    ++stats_.records;
+    stats_.pad_bases += pad;
     const std::size_t span_limit =
         config_.batch_size *
         (config_.max_deferred_batches == 0 ? 1
                                            : config_.max_deferred_batches);
-    genomics::FastqRecord r1, r2;
-    std::string e1, e2;
+    if (bucket.ordinals.size() >= config_.batch_size) {
+        flush(key);
+    } else if (buffered_ > span_limit) {
+        flush_oldest();
+    }
+}
+
+bool BucketingReader::next(std::span<genomics::ReadBatch* const> out,
+                           std::vector<std::uint64_t>& ordinals) {
     using Status = genomics::FastxRecordStream::Status;
+    const std::size_t n = mates_.size();
     while (ready_.empty() && !input_done_) {
-        const auto s1 = stream1_.next(r1, &e1);
-        const auto s2 = stream2_.next(r2, &e2);
-        if (s1 == Status::End || s2 == Status::End) {
-            if (s1 != s2) {
+        std::size_t ended = 0;
+        std::size_t bad = n; // first malformed mate, n if none
+        for (std::size_t m = 0; m < n; ++m) {
+            Mate& mate = mates_[m];
+            const Status status = mate.stream->next(mate.record, &mate.error);
+            ended += status == Status::End ? 1 : 0;
+            if (status == Status::Malformed && bad == n) bad = m;
+        }
+        if (ended > 0) {
+            if (ended != n) {
                 throw std::runtime_error(
                     "paired inputs desynchronized: mate files yield "
                     "different record counts");
             }
             input_done_ = true;
+            // Flush surviving buckets oldest-record-first so downstream
+            // reordering stays shallow.
             while (!buckets_.empty()) flush_oldest();
             break;
         }
-        if (s1 == Status::Malformed || s2 == Status::Malformed) {
-            // Drop the whole pair so the files stay record-synchronized.
+        if (bad < n) {
+            // Drop the whole tuple so the mates stay record-synchronized.
             if (config_.on_malformed == OnMalformed::Fail) {
-                const bool first_bad = s1 == Status::Malformed;
+                const std::string mate =
+                    n > 1 ? " (mate " + std::to_string(bad + 1) + ")" : "";
                 throw std::runtime_error(
                     "record " +
-                    std::to_string(first_bad ? stream1_.records_seen()
-                                             : stream2_.records_seen()) +
-                    (first_bad ? " (mate 1): " : " (mate 2): ") +
-                    (first_bad ? e1 : e2));
+                    std::to_string(mates_[bad].stream->records_seen()) +
+                    mate + ": " + mates_[bad].error);
             }
             ++stats_.dropped_malformed;
-            stats_.last_error = s1 == Status::Malformed ? e1 : e2;
+            stats_.last_error = mates_[bad].error;
+            check_names_ = n > 1;
             continue;
         }
-        const std::size_t len1 = r1.sequence.size();
-        const std::size_t len2 = r2.sequence.size();
-        if (len1 == 0 || len2 == 0 ||
-            (config_.read_length != 0 &&
-             (len1 != config_.read_length ||
-              len2 != config_.read_length))) {
-            ++stats_.dropped_length;
-            continue;
-        }
-        const std::size_t c1 = config_.read_length != 0
-                                   ? config_.read_length
-                                   : class_ceiling(len1, config_);
-        const std::size_t c2 = config_.read_length != 0
-                                   ? config_.read_length
-                                   : class_ceiling(len2, config_);
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(c1) << 32) |
-            static_cast<std::uint64_t>(c2);
-        if (classes_seen_.insert(key).second) {
-            stats_.length_classes = classes_seen_.size();
-        }
-        const std::size_t widest = c1 > c2 ? c1 : c2;
-        if (widest > stats_.read_length) stats_.read_length = widest;
-        PairBucket& bucket = buckets_[key];
-        bucket.first.read_length = c1;
-        bucket.second.read_length = c2;
-        bucket.pad_bases += (c1 - len1) + (c2 - len2);
-        bucket.ordinals.push_back(next_ordinal_++);
-        bucket.first.reads.push_back(
-            make_read(r1, bucket.first.reads.size()));
-        bucket.second.reads.push_back(
-            make_read(r2, bucket.second.reads.size()));
-        ++buffered_;
-        ++stats_.records; // pairs
-        stats_.pad_bases += (c1 - len1) + (c2 - len2);
-        if (bucket.first.reads.size() >= config_.batch_size) {
-            flush_bucket(key);
-        } else if (buffered_ > span_limit) {
-            flush_oldest();
-        }
+        accept();
     }
 
     if (ready_.empty()) return false;
-    out = std::move(ready_.front());
+    Bucket& bucket = ready_.front();
+    for (std::size_t m = 0; m < n; ++m) *out[m] = std::move(bucket.mates[m]);
+    ordinals = std::move(bucket.ordinals);
     ready_.pop_front();
     ++stats_.batches;
     return true;
+}
+
+} // namespace detail
+
+StreamingFastxReader::StreamingFastxReader(std::istream& in,
+                                           StreamingReaderConfig config)
+    : BucketingReader(std::array{&in}, config) {}
+
+StreamingFastxReader::StreamingFastxReader(const std::string& path,
+                                           StreamingReaderConfig config)
+    : BucketingReader(std::array{path}, config) {}
+
+bool StreamingFastxReader::next_bucket(OrderedBatch& out) {
+    return next(std::array{&out.batch}, out.ordinals);
+}
+
+PairedStreamingReader::PairedStreamingReader(std::istream& in1,
+                                             std::istream& in2,
+                                             StreamingReaderConfig config)
+    : BucketingReader(std::array{&in1, &in2}, config) {}
+
+PairedStreamingReader::PairedStreamingReader(const std::string& path1,
+                                             const std::string& path2,
+                                             StreamingReaderConfig config)
+    : BucketingReader(std::array{path1, path2}, config) {}
+
+bool PairedStreamingReader::next_bucket(OrderedPairBatch& out) {
+    return next(std::array{&out.first, &out.second}, out.ordinals);
 }
 
 } // namespace repute::pipeline

@@ -144,6 +144,21 @@ TEST(BucketReader, FlushSpanBoundFlushesOldestBucketShort) {
     std::size_t total = first.batch.size();
     for (const auto& b : rest) total += b.batch.size();
     EXPECT_EQ(total, 8u); // nothing lost
+
+    // The paired reader shares the bound, over (c1, c2) tuple classes.
+    std::istringstream in1(fastq), in2(fastq);
+    PairedStreamingReader paired(in1, in2, config);
+    OrderedPairBatch pair_first;
+    ASSERT_TRUE(paired.next_bucket(pair_first));
+    EXPECT_LT(pair_first.first.size(), 4u);
+    EXPECT_EQ(pair_first.ordinals.front(), 0u);
+    std::size_t pairs = pair_first.first.size();
+    OrderedPairBatch unit;
+    while (paired.next_bucket(unit)) {
+        EXPECT_EQ(unit.first.size(), unit.second.size());
+        pairs += unit.first.size();
+    }
+    EXPECT_EQ(pairs, 8u);
 }
 
 TEST(BucketReader, FixedLengthModeDropsOtherLengths) {
@@ -481,6 +496,32 @@ TEST(PairedBuckets, MalformedRecordDropsTheWholePair) {
     for (std::size_t i = 0; i < 2; ++i) {
         EXPECT_EQ(buckets[0].first.reads[i].name,
                   buckets[0].second.reads[i].name);
+    }
+}
+
+TEST(PairedBuckets, StrayLineDesynchronizesMatesAndThrows) {
+    // The stray line is one malformed status that costs mate 1 no
+    // record, so dropping the pair consumes p1/2 alone: the next pair
+    // would be p1/1 with p2/2. The reader must refuse it, not mispair.
+    const std::string mate1 = record_of("p0/1", 24) + "stray line\n" +
+                              record_of("p1/1", 24) +
+                              record_of("p2/1", 24) + record_of("p3/1", 24);
+    std::string mate2;
+    for (int i = 0; i < 5; ++i) {
+        mate2 += record_of("p" + std::to_string(i) + "/2", 24);
+    }
+    std::istringstream in1(mate1), in2(mate2);
+    PairedStreamingReader reader(in1, in2, {});
+    OrderedPairBatch unit;
+    try {
+        while (reader.next_bucket(unit)) {
+        }
+        FAIL() << "expected mispaired mates to throw";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("desynchronized"), std::string::npos) << what;
+        EXPECT_NE(what.find("p1/1"), std::string::npos) << what;
+        EXPECT_NE(what.find("p2/2"), std::string::npos) << what;
     }
 }
 

@@ -1,11 +1,12 @@
 // Streaming batch pipeline: chunked FASTA/FASTQ parsing with per-record
-// error policy, bounded/ordered pipeline execution, and the headline
+// error policy, bounded pipeline execution, and the headline
 // property — streaming SAM output is byte-identical to the monolithic
 // parse-then-map-then-write path, even on a skewed device fleet that
 // finishes batches out of order.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "index/fm_index.hpp"
 #include "obs/trace.hpp"
 #include "pipeline/batch_pipeline.hpp"
+#include "pipeline/mapping_api.hpp"
 #include "pipeline/mapping_pipeline.hpp"
 #include "pipeline/sam_emitter.hpp"
 #include "pipeline/streaming_fastx.hpp"
@@ -107,9 +109,9 @@ TEST(FastxRecordStream, TruncatedFinalRecordIsMalformedNotFatal) {
 TEST(StreamingFastxReader, EmptyFileYieldsNoBatches) {
     std::istringstream in("");
     pipeline::StreamingFastxReader reader(in);
-    genomics::ReadBatch batch;
-    EXPECT_FALSE(reader.next_batch(batch));
-    EXPECT_TRUE(batch.empty());
+    pipeline::OrderedBatch unit;
+    EXPECT_FALSE(reader.next_bucket(unit));
+    EXPECT_TRUE(unit.batch.empty());
     EXPECT_EQ(reader.stats().records, 0u);
     EXPECT_EQ(reader.stats().batches, 0u);
 }
@@ -119,13 +121,14 @@ TEST(StreamingFastxReader, BatchSizeLargerThanFile) {
     pipeline::StreamingReaderConfig config;
     config.batch_size = 1000;
     pipeline::StreamingFastxReader reader(in, config);
-    genomics::ReadBatch batch;
-    ASSERT_TRUE(reader.next_batch(batch));
-    EXPECT_EQ(batch.size(), 2u);
-    EXPECT_EQ(batch.read_length, 4u);
-    EXPECT_EQ(batch.reads[0].id, 0u);
-    EXPECT_EQ(batch.reads[1].id, 1u);
-    EXPECT_FALSE(reader.next_batch(batch));
+    pipeline::OrderedBatch unit;
+    ASSERT_TRUE(reader.next_bucket(unit));
+    EXPECT_EQ(unit.batch.size(), 2u);
+    EXPECT_EQ(unit.batch.read_length, 16u); // the class ceiling
+    EXPECT_EQ(unit.batch.reads[0].id, 0u);
+    EXPECT_EQ(unit.batch.reads[1].id, 1u);
+    EXPECT_EQ(unit.ordinals, (std::vector<std::uint64_t>{0, 1}));
+    EXPECT_FALSE(reader.next_bucket(unit));
 }
 
 TEST(StreamingFastxReader, ChunksIntoFixedBatches) {
@@ -137,9 +140,9 @@ TEST(StreamingFastxReader, ChunksIntoFixedBatches) {
     pipeline::StreamingReaderConfig config;
     config.batch_size = 4;
     pipeline::StreamingFastxReader reader(in, config);
-    genomics::ReadBatch batch;
+    pipeline::OrderedBatch unit;
     std::vector<std::size_t> sizes;
-    while (reader.next_batch(batch)) sizes.push_back(batch.size());
+    while (reader.next_bucket(unit)) sizes.push_back(unit.batch.size());
     EXPECT_EQ(sizes, (std::vector<std::size_t>{4, 4, 2}));
     EXPECT_EQ(reader.stats().batches, 3u);
     EXPECT_EQ(reader.stats().records, 10u);
@@ -155,17 +158,17 @@ TEST(StreamingFastxReader, MalformedMidBatchDroppedAndCounted) {
                              "@r3\nTTTT\n+\nIIII\n";
     std::istringstream in(text);
     pipeline::StreamingFastxReader reader(in);
-    genomics::ReadBatch batch;
-    ASSERT_TRUE(reader.next_batch(batch));
+    pipeline::OrderedBatch unit;
+    ASSERT_TRUE(reader.next_bucket(unit));
     // r1's missing quality line swallows r2's header, so the parser
     // reports malformed once per orphaned line until it resyncs at the
     // next '@' — what matters is that it resyncs and nothing is fatal.
     EXPECT_EQ(reader.stats().dropped_malformed, 5u);
     EXPECT_FALSE(reader.stats().last_error.empty());
     // r0 and r3 survive; the r1/r2 tangle costs both records.
-    ASSERT_EQ(batch.size(), 2u);
-    EXPECT_EQ(batch.reads[0].name, "r0");
-    EXPECT_EQ(batch.reads[1].name, "r3");
+    ASSERT_EQ(unit.batch.size(), 2u);
+    EXPECT_EQ(unit.batch.reads[0].name, "r0");
+    EXPECT_EQ(unit.batch.reads[1].name, "r3");
 }
 
 TEST(StreamingFastxReader, FailFastPolicyThrows) {
@@ -173,32 +176,20 @@ TEST(StreamingFastxReader, FailFastPolicyThrows) {
     pipeline::StreamingReaderConfig config;
     config.on_malformed = pipeline::OnMalformed::Fail;
     pipeline::StreamingFastxReader reader(in, config);
-    genomics::ReadBatch batch;
-    EXPECT_THROW(reader.next_batch(batch), std::runtime_error);
-}
-
-TEST(StreamingFastxReader, LocksReadLengthToFirstRecord) {
-    std::istringstream in("@a\nACGTAC\n+\nIIIIII\n@b\nACG\n+\nIII\n"
-                          "@c\nGGGGGG\n+\nIIIIII\n");
-    pipeline::StreamingFastxReader reader(in);
-    genomics::ReadBatch batch;
-    ASSERT_TRUE(reader.next_batch(batch));
-    EXPECT_EQ(batch.read_length, 6u);
-    EXPECT_EQ(batch.size(), 2u);
-    EXPECT_EQ(reader.stats().dropped_length, 1u);
+    pipeline::OrderedBatch unit;
+    EXPECT_THROW(reader.next_bucket(unit), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------
 // BatchPipeline engine
 
-TEST(BatchPipeline, EmitsInInputOrderDespiteSkewedWorkers) {
+TEST(BatchPipeline, DeliversEveryUnitOnceDespiteSkewedWorkers) {
     pipeline::PipelineConfig config;
     config.queue_depth = 2;
     config.map_workers = 2;
     pipeline::BatchPipeline<int, int> engine(config);
     int next = 0;
-    std::vector<std::size_t> seqs;
-    std::vector<int> results;
+    std::vector<int> units;
     const auto stats = engine.run(
         [&](int& unit) {
             if (next >= 9) return false;
@@ -211,19 +202,19 @@ TEST(BatchPipeline, EmitsInInputOrderDespiteSkewedWorkers) {
                 unit % 2 == 0 ? 12 : 1));
             return unit * 10;
         },
-        [&](std::size_t seq, const int& unit, const int& result) {
-            seqs.push_back(seq);
+        [&](const int& unit, const int& result) {
             EXPECT_EQ(result, unit * 10);
-            results.push_back(result);
+            units.push_back(unit);
         });
-    ASSERT_EQ(seqs.size(), 9u);
-    for (std::size_t i = 0; i < seqs.size(); ++i) {
-        EXPECT_EQ(seqs[i], i);
-        EXPECT_EQ(results[i], static_cast<int>(i) * 10);
+    // Completion order, not input order: the engine keeps no ordering
+    // buffer (callers reorder by the ordinals their units carry).
+    std::sort(units.begin(), units.end());
+    ASSERT_EQ(units.size(), 9u);
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        EXPECT_EQ(units[i], static_cast<int>(i));
     }
     EXPECT_EQ(stats.units, 9u);
-    // Backpressure bound: queues + workers + reorder buffer, not input
-    // size.
+    // Backpressure bound: queues + workers + sink, not input size.
     EXPECT_LE(stats.max_in_flight,
               2 * config.queue_depth + config.map_workers + 2);
 }
@@ -233,7 +224,7 @@ TEST(BatchPipeline, SourceExceptionPropagates) {
     EXPECT_THROW(
         engine.run([](int&) -> bool { throw std::runtime_error("boom"); },
                    [](const int& u, std::size_t) { return u; },
-                   [](std::size_t, const int&, const int&) {}),
+                   [](const int&, const int&) {}),
         std::runtime_error);
 }
 
@@ -249,7 +240,7 @@ TEST(BatchPipeline, MapExceptionPropagates) {
             [](const int&, std::size_t) -> int {
                 throw std::runtime_error("map died");
             },
-            [](std::size_t, const int&, const int&) {}),
+            [](const int&, const int&) {}),
         std::runtime_error);
 }
 
@@ -323,8 +314,8 @@ TEST(MappingPipeline, StreamingSamIsByteIdenticalToMonolithic) {
     }
 
     // Streaming path over a deliberately skewed two-device fleet (the
-    // fig3 skew setup): the fast worker races ahead, the ordering
-    // buffer must still emit in input order.
+    // fig3 skew setup): the fast worker races ahead, the reorder writer
+    // must still emit in input order.
     std::ostringstream stream_sam;
     {
         std::istringstream in(fastq);
@@ -344,15 +335,8 @@ TEST(MappingPipeline, StreamingSamIsByteIdenticalToMonolithic) {
         emitter.write_header();
         pipeline::PipelineConfig config;
         config.queue_depth = 3;
-        std::size_t expected_seq = 0;
-        const auto stats = pipeline::run_mapping_pipeline(
-            reader, mappers, delta,
-            [&](std::size_t seq, const genomics::ReadBatch& batch,
-                const core::MapResult& result) {
-                EXPECT_EQ(seq, expected_seq++);
-                emitter.emit(batch, result);
-            },
-            config);
+        const auto stats = pipeline::run_pipeline(
+            reader, mappers, delta, emitter, stream_sam, config);
         EXPECT_EQ(stats.units, reader.stats().batches);
         EXPECT_GT(stats.units, 4u);
     }
@@ -395,8 +379,7 @@ TEST(MappingPipeline, PairedStreamingMatchesMonolithic) {
         std::istringstream in1(fastq1), in2(fastq2);
         pipeline::StreamingReaderConfig reader_config;
         reader_config.batch_size = 32;
-        pipeline::StreamingFastxReader r1(in1, reader_config);
-        pipeline::StreamingFastxReader r2(in2, reader_config);
+        pipeline::PairedStreamingReader reader(in1, in2, reader_config);
 
         ocl::Device fast(skew_profile("fast-gpu", 16, 6e8));
         ocl::Device slow(skew_profile("slow-cpu", 2, 6e7));
@@ -414,13 +397,9 @@ TEST(MappingPipeline, PairedStreamingMatchesMonolithic) {
         pipeline::SamEmitter emitter(stream_sam, fix.multi,
                                      {true, delta});
         emitter.write_header();
-        pipeline::run_paired_pipeline(
-            r1, r2, mappers, delta,
-            [&](std::size_t, const pipeline::PairedUnit& unit,
-                const core::PairedResult& result) {
-                emitter.emit_paired(unit.first, unit.second, result);
-            },
-            {});
+        const auto stats = pipeline::run_pipeline(reader, mappers, delta,
+                                                  emitter, stream_sam);
+        EXPECT_GT(stats.units, 4u);
     }
 
     EXPECT_EQ(mono_sam.str(), stream_sam.str());
@@ -435,16 +414,14 @@ TEST(MappingPipeline, PairedDesyncThrows) {
                            std::string(100, 'I') + "\n");
     std::istringstream in2("@a\n" + std::string(100, 'A') + "\n+\n" +
                            std::string(100, 'I') + "\n");
-    pipeline::StreamingFastxReader r1(in1), r2(in2);
+    pipeline::PairedStreamingReader reader(in1, in2);
     ocl::Device cpu(skew_profile("cpu", 8, 1e9));
     auto mapper = fix.mapper(cpu);
     core::PairedMapper paired(*mapper, fix.multi.concatenated(), {});
     std::vector<core::PairedMapper*> mappers = {&paired};
-    EXPECT_THROW(pipeline::run_paired_pipeline(
-                     r1, r2, mappers, 3,
-                     [](std::size_t, const pipeline::PairedUnit&,
-                        const core::PairedResult&) {},
-                     {}),
+    std::ostringstream sam;
+    pipeline::SamEmitter emitter(sam, fix.multi, {false, 3});
+    EXPECT_THROW(pipeline::run_pipeline(reader, mappers, 3, emitter, sam),
                  std::runtime_error);
 }
 
@@ -461,13 +438,8 @@ TEST(MappingPipeline, RecordsMetricsWhenTracing) {
     std::vector<core::Mapper*> mappers = {mapper.get()};
     std::ostringstream sam;
     pipeline::SamEmitter emitter(sam, fix.multi, {false, 3});
-    const auto stats = pipeline::run_mapping_pipeline(
-        reader, mappers, 3,
-        [&](std::size_t, const genomics::ReadBatch& batch,
-            const core::MapResult& result) {
-            emitter.emit(batch, result);
-        },
-        {});
+    const auto stats =
+        pipeline::run_pipeline(reader, mappers, 3, emitter, sam);
     EXPECT_EQ(session.registry().counter("pipeline.batches").value(),
               stats.units);
     EXPECT_EQ(session.registry()
@@ -477,6 +449,38 @@ TEST(MappingPipeline, RecordsMetricsWhenTracing) {
               stats.units);
     EXPECT_GT(stats.max_in_flight, 0u);
     EXPECT_FALSE(stats.format().empty());
+}
+
+TEST(MappingSession, PairedRequestReportsBothMatesTransferBytes) {
+    const MappingFixture fix(150'000, 0);
+    genomics::PairSimConfig pconfig;
+    pconfig.n_pairs = 60;
+    pconfig.read_length = 100;
+    pconfig.seed = 9;
+    const auto pairs =
+        genomics::simulate_pairs(fix.multi.concatenated(), pconfig);
+    const std::string fastq1 = fastq_text(pairs.first);
+    const std::string fastq2 = fastq_text(pairs.second);
+    auto session = pipeline::MappingSession::from_multi(fix.multi);
+
+    const auto map = [&](const std::string& reads,
+                         const std::string* reads2) {
+        std::istringstream in1(reads), in2(reads2 ? *reads2 : "");
+        pipeline::MapRequest request;
+        request.reads = &in1;
+        if (reads2 != nullptr) request.reads2 = &in2;
+        request.delta = 3;
+        std::ostringstream sam;
+        return session->map(request, sam);
+    };
+    const auto mate1 = map(fastq1, nullptr);
+    const auto mate2 = map(fastq2, nullptr);
+    const auto paired = map(fastq1, &fastq2);
+    EXPECT_GT(mate1.xfer_bytes_staged, 0u);
+    EXPECT_EQ(paired.xfer_bytes_staged,
+              mate1.xfer_bytes_staged + mate2.xfer_bytes_staged);
+    EXPECT_EQ(paired.xfer_bytes_drained,
+              mate1.xfer_bytes_drained + mate2.xfer_bytes_drained);
 }
 
 } // namespace

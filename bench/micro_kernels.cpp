@@ -26,7 +26,6 @@
 #include "genomics/genome_sim.hpp"
 #include "genomics/read_sim.hpp"
 #include "index/approx_search.hpp"
-#include "index/bi_fm_index.hpp"
 #include "index/fm_index.hpp"
 #include "index/suffix_array.hpp"
 #include "util/packed_dna.hpp"
@@ -637,30 +636,6 @@ void BM_ApproxSearch(benchmark::State& state) {
         static_cast<double>(nodes) / static_cast<double>(calls);
 }
 BENCHMARK(BM_ApproxSearch)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
-
-void BM_BidiSearch(benchmark::State& state) {
-    const auto& w = workload();
-    static const index::BiFmIndex bidi(w.reference);
-    const auto errors = static_cast<std::uint32_t>(state.range(0));
-    util::Xoshiro256 rng(5); // same segments as BM_ApproxSearch
-    std::vector<std::vector<std::uint8_t>> segments;
-    for (int i = 0; i < 32; ++i) {
-        const std::size_t pos = rng.bounded(w.reference.size() - 33);
-        segments.push_back(w.reference.sequence().extract(pos, 33));
-    }
-    std::size_t i = 0;
-    std::uint64_t nodes = 0, calls = 0;
-    for (auto _ : state) {
-        index::ApproxSearchStats stats;
-        benchmark::DoNotOptimize(index::bidirectional_approximate_search(
-            bidi, segments[i++ % segments.size()], errors, &stats));
-        nodes += stats.visited_nodes;
-        ++calls;
-    }
-    state.counters["nodes/call"] =
-        static_cast<double>(nodes) / static_cast<double>(calls);
-}
-BENCHMARK(BM_BidiSearch)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 // ---------------------------------------------------------- construction
 

@@ -13,9 +13,10 @@
 //
 // Both paths do the same end-to-end work on the table 1 workload —
 // parse FASTQ, map, emit SAM — and their outputs are byte-compared
-// (the run fails if they ever diverge). The monolithic path is
-// examples/map_fastq's shape: read everything, one map() call, one
-// emit pass. The streaming path is the repute CLI's shape: length-class
+// (the run fails if they ever diverge). The monolithic path reads the
+// whole file as one batch (a StreamingFastxReader whose batch size is
+// the read count), then makes one map() call and one emit pass. The
+// streaming path is the repute CLI's shape: length-class
 // buckets, --threads mapper workers, input-order emission, all
 // overlapped through bounded queues. The difference is real host wall clock, so
 // the win scales with available cores (parse/map/emit overlap); on a
@@ -193,12 +194,16 @@ int main(int argc, char** argv) {
         std::ostringstream sam;
         util::Stopwatch timer;
         std::istringstream in(fastq);
-        const auto batch =
-            genomics::to_read_batch(genomics::read_fastq(in));
-        const auto result = mapper->map(batch, delta);
+        pipeline::StreamingReaderConfig one_batch;
+        one_batch.batch_size = workload.reads(n).batch.size();
+        one_batch.length_grid = 1; // exact read length, no padding
+        pipeline::StreamingFastxReader reader(in, one_batch);
+        pipeline::OrderedBatch unit;
+        reader.next_bucket(unit);
+        const auto result = mapper->map(unit.batch, delta);
         pipeline::SamEmitter emitter(sam, multi, emit_config);
         emitter.write_header();
-        emitter.emit(batch, result);
+        emitter.emit(unit.batch, result);
         mono_best = std::min(mono_best, timer.seconds());
         mono_sam = sam.str();
     }

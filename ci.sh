@@ -43,11 +43,16 @@
 #   zliboff       -DREPUTE_ZLIB=OFF build: plain input keeps working and
 #                 gzip input is rejected with a clear error instead of
 #                 being misparsed
+#   coverage      `repute` CLI built with --coverage -O0, driven through
+#                 index build / map / serve / client on the mixed-tier
+#                 fixtures; ci/coverage_report.py lists the src/ files
+#                 and repute:: functions that never executed (report
+#                 only, no threshold; run only when named)
 #   format        clang-format --dry-run --Werror over the tree
 #
 # Usage: ./ci.sh [--quick] [tier...] [jobs]
-#   ./ci.sh                 run everything (jobs = nproc)
-#   ./ci.sh --quick         run everything, trimmed bench smoke
+#   ./ci.sh                 run every tier but coverage (jobs = nproc)
+#   ./ci.sh --quick         the same, trimmed bench smoke
 #   ./ci.sh tier1 8         one tier, 8 jobs
 #   ./ci.sh --format-check  alias for the format tier
 # GitHub Actions runs the tiers as parallel matrix jobs (see
@@ -64,7 +69,7 @@ for arg in "$@"; do
     case "$arg" in
         --quick) QUICK=1 ;;
         --format-check) TIERS+=(format) ;;
-        tier1|bench|tsan|asan|ubsan|simdoff|serve|shard|mixed|zliboff|format) TIERS+=("$arg") ;;
+        tier1|bench|tsan|asan|ubsan|simdoff|serve|shard|mixed|zliboff|coverage|format) TIERS+=("$arg") ;;
         ''|*[!0-9]*) echo "unknown argument: $arg" >&2; exit 2 ;;
         *) JOBS="$arg" ;;
     esac
@@ -496,6 +501,60 @@ if has_tier zliboff; then
     fi
     grep -q "without zlib" "$ZOFF_TMP/err.log"
     echo "gz input rejected with a clear error"
+fi
+
+if has_tier coverage; then
+    echo "== coverage: src/ code the production entry points never run =="
+    cmake -B build-coverage -S . -DCMAKE_BUILD_TYPE=Debug \
+          -DCMAKE_CXX_FLAGS="--coverage -O0" \
+          -DCMAKE_EXE_LINKER_FLAGS="--coverage" "${LAUNCHER[@]}"
+    cmake --build build-coverage -j "$JOBS" --target repute_cli
+    # Counts accumulate across runs; start every report from zero.
+    find build-coverage -name '*.gcda' -delete
+    COV_TMP="$(mktemp -d)"
+    # The daemon pid is expanded at exit, so a failed client or a
+    # socket that never appears does not leave `repute serve` running.
+    # shellcheck disable=SC2064  # expand now; chain earlier tmpdirs
+    trap "kill \${COV_SERVE_PID:-} 2>/dev/null || true; rm -rf '$COV_TMP' '${ZOFF_TMP:-/nonexistent}' '${MIXED_TMP:-/nonexistent}' '${SHARD_TMP:-/nonexistent}' '${SMOKE:-/nonexistent}'" EXIT
+    FIXDIR="${REPUTE_FIXTURE_DIR:-$COV_TMP/fixtures}"
+    python3 ci/gen_mixed_fixtures.py "$FIXDIR"
+    R=./build-coverage/src/cli/repute
+    # --delta 3 throughout: 80 bp reads cannot host 6 k-mers of 14.
+    "$R" index build --ref "$FIXDIR/ref.fa" --out "$COV_TMP/ref.rix"
+    "$R" index build --ref "$FIXDIR/ref.fa" --out "$COV_TMP/ref.rixm" \
+         --shards 2 --jobs 2
+    "$R" map --delta 3 --ref "$FIXDIR/ref.fa" --reads "$FIXDIR/mixed.fq.gz" \
+         --threads 2 --out "$COV_TMP/gz.sam"
+    "$R" map --delta 3 --ref "$FIXDIR/ref.fa" --reads "$FIXDIR/mixed.fq" \
+         --cigar false --out "$COV_TMP/nocigar.sam"
+    "$R" map --delta 3 --index "$COV_TMP/ref.rixm" --reads "$FIXDIR/r1.fq" \
+         --reads2 "$FIXDIR/r2.fq" --devices i7-2600,gtx590-0 \
+         --schedule dynamic --xfer-gbps 8 --trace "$COV_TMP/trace.json" \
+         --out "$COV_TMP/paired.sam" 2>/dev/null
+    "$R" map --delta 3 --index "$COV_TMP/ref.rix" --reads "$FIXDIR/mixed.fq" \
+         --platform system2 --devices hikey970-a73,hikey970-a53 \
+         --out "$COV_TMP/hikey.sam"
+    "$R" serve --index "$COV_TMP/ref.rix" --socket "$COV_TMP/repute.sock" \
+         >"$COV_TMP/serve.log" 2>&1 &
+    COV_SERVE_PID=$!
+    for _ in $(seq 1 100); do
+        [[ -S "$COV_TMP/repute.sock" ]] && break
+        sleep 0.1
+    done
+    if [[ ! -S "$COV_TMP/repute.sock" ]]; then
+        echo "repute serve never opened its socket:" >&2
+        cat "$COV_TMP/serve.log" >&2
+        exit 1
+    fi
+    "$R" client --delta 3 --socket "$COV_TMP/repute.sock" \
+         --reads "$FIXDIR/mixed.fq.gz" --out "$COV_TMP/served.sam" --tenant ci
+    "$R" client --delta 3 --socket "$COV_TMP/repute.sock" \
+         --reads "$FIXDIR/r1.fq" --reads2 "$FIXDIR/r2.fq.gz" \
+         --out "$COV_TMP/served_pe.sam" --tenant ci
+    kill -TERM "$COV_SERVE_PID"
+    wait "$COV_SERVE_PID"
+    unset COV_SERVE_PID
+    python3 ci/coverage_report.py build-coverage
 fi
 
 if has_tier format; then

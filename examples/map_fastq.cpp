@@ -1,20 +1,19 @@
-// map_fastq — the monolithic (load-everything-then-map) reference path.
+// map_fastq — the smallest end-to-end program over the public mapping
+// API: a MappingSession built from FASTA, one map() request, SAM out.
 //
 //   map_fastq --reference ref.fa --reads reads.fastq [--delta 5]
 //             [--smin 14] [--max-locations 100] [--out out.sam]
 //             [--cigar true]
 //
-// For real work prefer the `repute` CLI (src/cli), which streams the
-// same mapping through the bounded batch pipeline; this example stays
-// as the simplest possible end-to-end program and as the equivalence
-// oracle the streaming tests compare against (both paths share
-// pipeline::SamEmitter, so their SAM output is byte-identical).
+// The `repute` CLI (src/cli) is the same session and request with every
+// knob exposed; both produce byte-identical SAM for the same settings.
 //
 // Multi-sequence FASTA references are supported (sequences are indexed
 // as one concatenated text; mappings crossing a boundary are dropped
-// and positions resolve back to per-sequence coordinates). With --cigar
-// (default) each mapping is re-aligned for a precise position and CIGAR
-// string — the paper's announced SAM extension.
+// and positions resolve back to per-sequence coordinates). Reads may
+// have mixed lengths and may be gzipped. With --cigar (default) each
+// mapping is re-aligned for a precise position and CIGAR string — the
+// paper's announced SAM extension.
 //
 // Without --reference/--reads the example writes a small simulated
 // dataset to the working directory first and then maps it, so it is
@@ -23,16 +22,11 @@
 #include <cstdio>
 #include <fstream>
 
-#include "core/repute_mapper.hpp"
 #include "genomics/fastx.hpp"
 #include "genomics/genome_sim.hpp"
-#include "genomics/multi_reference.hpp"
 #include "genomics/read_sim.hpp"
-#include "index/fm_index.hpp"
-#include "ocl/platform.hpp"
-#include "pipeline/sam_emitter.hpp"
+#include "pipeline/mapping_api.hpp"
 #include "util/args.hpp"
-#include "util/timer.hpp"
 
 using namespace repute;
 
@@ -66,12 +60,6 @@ int main(int argc, char** argv) {
     const util::Args args(argc, argv);
     std::string fasta = args.get_string("reference", "");
     std::string fastq = args.get_string("reads", "");
-    const auto delta =
-        static_cast<std::uint32_t>(args.get_int("delta", 5));
-    const auto s_min =
-        static_cast<std::uint32_t>(args.get_int("smin", 14));
-    const auto max_locations =
-        static_cast<std::uint32_t>(args.get_int("max-locations", 100));
     const std::string out_path = args.get_string("out", "out.sam");
 
     if (fasta.empty() || fastq.empty()) {
@@ -80,60 +68,39 @@ int main(int argc, char** argv) {
         write_demo_inputs(fasta, fastq);
     }
 
-    util::Stopwatch timer;
-    const auto fasta_records = genomics::read_fasta_file(fasta);
-    if (fasta_records.empty()) {
-        std::fprintf(stderr, "no sequences in %s\n", fasta.c_str());
+    pipeline::SessionConfig config;
+    config.s_min = static_cast<std::uint32_t>(args.get_int("smin", 14));
+    config.max_locations =
+        static_cast<std::uint32_t>(args.get_int("max-locations", 100));
+    const auto session =
+        pipeline::MappingSession::from_fasta(fasta, config);
+    std::printf("reference: %zu sequence(s), %zu bp total; index built "
+                "in %.1f s (%.1f MB)\n",
+                session->multi().sequence_count(),
+                session->multi().concatenated().size(),
+                session->index_seconds(),
+                static_cast<double>(session->resident_bytes()) / 1e6);
+
+    std::ifstream reads(fastq, std::ios::binary);
+    std::ofstream out(out_path, std::ios::binary);
+    if (!reads || !out) {
+        std::fprintf(stderr, "cannot open %s or %s\n", fastq.c_str(),
+                     out_path.c_str());
         return 1;
     }
-    const genomics::MultiReference multi(fasta_records);
-    const auto& reference = multi.concatenated();
-    std::printf("reference: %zu sequence(s), %zu bp total "
-                "(loaded in %.1f s)\n",
-                multi.sequence_count(), reference.size(), timer.seconds());
-
-    timer.reset();
-    const index::FmIndex fm(reference, 4);
-    std::printf("index built in %.1f s (%.1f MB)\n", timer.seconds(),
-                static_cast<double>(fm.memory_bytes()) / 1e6);
-
-    std::size_t dropped = 0;
-    const auto batch =
-        genomics::to_read_batch(genomics::read_fastq_file(fastq), &dropped);
-    std::printf("%zu reads of length %zu (%zu dropped)\n", batch.size(),
-                batch.read_length, dropped);
-    if (batch.empty()) return 1;
-
-    auto platform = ocl::Platform::system1();
-    core::HeterogeneousMapperConfig config;
-    config.kernel.s_min = s_min;
-    config.kernel.max_locations_per_read = max_locations;
-    auto mapper =
-        core::make_repute(reference, fm,
-                          {{&platform.device("i7-2600"), 1.0}}, config);
-
-    timer.reset();
-    const auto result = mapper->map(batch, delta);
-    std::printf("mapped %zu/%zu reads (%llu mappings) — host %.1f s, "
-                "modeled %.3f s\n",
-                result.reads_mapped(), batch.size(),
-                static_cast<unsigned long long>(result.total_mappings()),
-                timer.seconds(), result.mapping_seconds);
-
-    // SAM export through the shared emitter: resolves concatenated
-    // coordinates back to the source sequences, drops
-    // boundary-straddling mappings, computes CIGARs unless disabled.
-    std::ofstream out(out_path, std::ios::binary);
-    pipeline::SamEmitterConfig emit_config;
-    emit_config.cigar = args.get_bool("cigar", true);
-    emit_config.delta = delta;
-    pipeline::SamEmitter emitter(out, multi, emit_config);
-    emitter.write_header();
-    emitter.emit(batch, result);
+    pipeline::MapRequest request;
+    request.reads = &reads;
+    request.delta = static_cast<std::uint32_t>(args.get_int("delta", 5));
+    request.cigar = args.get_bool("cigar", true);
+    const auto response = session->map(request, out);
+    std::printf("mapped %zu reads (%zu dropped) in %.1f s over %zu "
+                "batch(es)\n",
+                response.reads_in - response.dropped, response.dropped,
+                response.wall_seconds, response.pipeline.units);
     std::printf("SAM written to %s (%zu records; %zu boundary-dropped, "
                 "%zu cigar-dropped)\n",
-                out_path.c_str(), emitter.stats().records,
-                emitter.stats().dropped_boundary,
-                emitter.stats().dropped_cigar);
-    return 0;
+                out_path.c_str(), response.emitted.records,
+                response.emitted.dropped_boundary,
+                response.emitted.dropped_cigar);
+    return response.reads_in == response.dropped ? 1 : 0;
 }

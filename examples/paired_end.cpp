@@ -8,10 +8,11 @@
 #include "core/paired.hpp"
 #include "core/repute_mapper.hpp"
 #include "genomics/genome_sim.hpp"
+#include "genomics/multi_reference.hpp"
 #include "genomics/pair_sim.hpp"
-#include "genomics/sam_lite.hpp"
 #include "index/fm_index.hpp"
 #include "ocl/platform.hpp"
+#include "pipeline/sam_emitter.hpp"
 #include "util/args.hpp"
 
 using namespace repute;
@@ -84,12 +85,12 @@ int main(int argc, char** argv) {
                     pconfig.insert_mean, pconfig.insert_stddev);
     }
 
-    // SAM with pairing flags and TLEN (first two records).
-    const auto sam = core::paired_to_sam(sim.first, sim.second, result,
-                                         reference.name());
+    // SAM with pairing flags and TLEN (first pair's two records).
+    const genomics::MultiReference multi(reference);
     std::ostringstream out;
-    genomics::write_sam(out, reference.name(), reference.size(),
-                        {sam.begin(), sam.begin() + 2});
+    pipeline::SamEmitter emitter(out, multi, {true, delta});
+    emitter.write_header();
+    out << emitter.render_paired(sim.first, sim.second, result).front();
     std::printf("--- first pair in SAM ---\n%s", out.str().c_str());
     return 0;
 }

@@ -103,7 +103,6 @@ pipeline:
                         reads bucket by length rounded up to a multiple
                         of N, padded virtually within a class
                         (default 16)
-  --monolithic          load whole file, map once, then write
 devices:
   --platform NAME       system1 (i7 + 2x GTX590) | system2 (HiKey970)
   --devices LIST        comma-separated device names (default i7-2600)
@@ -384,7 +383,6 @@ int run_map(const util::Args& args) {
     request.delta =
         static_cast<std::uint32_t>(args.get_int("delta", 5));
     request.cigar = args.get_bool("cigar", true);
-    request.monolithic = args.has("monolithic");
     request.map_workers = session->config().mapper_pool;
     request.queue_depth =
         static_cast<std::size_t>(args.get_int("queue-depth", 4));

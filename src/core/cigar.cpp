@@ -37,74 +37,4 @@ std::optional<AnnotatedMapping> annotate_mapping(
     return out;
 }
 
-std::vector<genomics::SamRecord> to_sam_with_cigar(
-    const genomics::ReadBatch& batch, const MapResult& result,
-    const genomics::Reference& reference, std::uint32_t delta,
-    std::size_t* dropped) {
-    std::vector<genomics::SamRecord> records;
-    records.reserve(batch.size());
-    std::size_t n_dropped = 0;
-
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        const auto& read = batch.reads[i];
-        const auto& mappings = i < result.per_read.size()
-                                   ? result.per_read[i]
-                                   : std::vector<ReadMapping>{};
-        if (mappings.empty()) {
-            genomics::SamRecord rec;
-            rec.qname = read.name;
-            rec.flag = genomics::SamRecord::kFlagUnmapped;
-            rec.rname = "*";
-            records.push_back(std::move(rec));
-            continue;
-        }
-
-        std::vector<AnnotatedMapping> annotated;
-        annotated.reserve(mappings.size());
-        for (const auto& m : mappings) {
-            if (auto a = annotate_mapping(reference, read, m, delta)) {
-                annotated.push_back(std::move(*a));
-            } else {
-                ++n_dropped;
-            }
-        }
-        if (annotated.empty()) {
-            genomics::SamRecord rec;
-            rec.qname = read.name;
-            rec.flag = genomics::SamRecord::kFlagUnmapped;
-            rec.rname = "*";
-            records.push_back(std::move(rec));
-            continue;
-        }
-
-        const auto best = std::min_element(
-            annotated.begin(), annotated.end(),
-            [](const AnnotatedMapping& a, const AnnotatedMapping& b) {
-                return a.mapping.edit_distance < b.mapping.edit_distance;
-            });
-        for (const auto& a : annotated) {
-            genomics::SamRecord rec;
-            rec.qname = read.name;
-            rec.rname = reference.name();
-            rec.pos = a.precise_position + 1; // SAM is 1-based
-            rec.cigar = a.cigar;
-            rec.edit_distance = a.mapping.edit_distance;
-            rec.mapq = static_cast<std::uint8_t>(
-                a.mapping.edit_distance == best->mapping.edit_distance
-                    ? 60
-                    : 0);
-            if (a.mapping.strand == genomics::Strand::Reverse) {
-                rec.flag |= genomics::SamRecord::kFlagReverse;
-            }
-            if (&a != &*best) {
-                rec.flag |= genomics::SamRecord::kFlagSecondary;
-            }
-            rec.seq = read.to_string();
-            records.push_back(std::move(rec));
-        }
-    }
-    if (dropped != nullptr) *dropped = n_dropped;
-    return records;
-}
-
 } // namespace repute::core

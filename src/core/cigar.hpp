@@ -6,12 +6,12 @@
 // distances only (cheap, GPU-friendly). This host-side pass re-aligns
 // each reported mapping with the full-traceback DP to recover the
 // precise alignment start and the CIGAR string, upgrading the SAM-lite
-// output to spec-level records. Cost is O(n * (n + 2*delta)) per
-// mapping, paid only for the mappings actually emitted.
+// output (pipeline::SamEmitter) to spec-level records. Cost is
+// O(n * (n + 2*delta)) per mapping, paid only for the mappings actually
+// emitted.
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/mapping.hpp"
 #include "genomics/sequence.hpp"
@@ -30,13 +30,5 @@ struct AnnotatedMapping {
 std::optional<AnnotatedMapping> annotate_mapping(
     const genomics::Reference& reference, const genomics::Read& read,
     const ReadMapping& mapping, std::uint32_t delta);
-
-/// SAM export with precise positions and CIGAR strings. Unannotatable
-/// mappings (see annotate_mapping) are dropped with a warning count in
-/// `dropped` when non-null.
-std::vector<genomics::SamRecord> to_sam_with_cigar(
-    const genomics::ReadBatch& batch, const MapResult& result,
-    const genomics::Reference& reference, std::uint32_t delta,
-    std::size_t* dropped = nullptr);
 
 } // namespace repute::core

@@ -39,48 +39,4 @@ double MapResult::transfer_overlap_ratio() const noexcept {
     return std::clamp(1.0 - stall / transfer, 0.0, 1.0);
 }
 
-std::vector<genomics::SamRecord> to_sam(const genomics::ReadBatch& batch,
-                                        const MapResult& result,
-                                        const std::string& reference_name) {
-    std::vector<genomics::SamRecord> records;
-    records.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        const auto& read = batch.reads[i];
-        const auto& mappings =
-            i < result.per_read.size() ? result.per_read[i]
-                                       : std::vector<ReadMapping>{};
-        if (mappings.empty()) {
-            genomics::SamRecord rec;
-            rec.qname = read.name;
-            rec.flag = genomics::SamRecord::kFlagUnmapped;
-            rec.rname = "*";
-            records.push_back(std::move(rec));
-            continue;
-        }
-        const auto best = std::min_element(
-            mappings.begin(), mappings.end(),
-            [](const ReadMapping& a, const ReadMapping& b) {
-                return a.edit_distance < b.edit_distance;
-            });
-        for (const auto& m : mappings) {
-            genomics::SamRecord rec;
-            rec.qname = read.name;
-            rec.rname = reference_name;
-            rec.pos = m.position + 1; // SAM is 1-based
-            rec.edit_distance = m.edit_distance;
-            rec.mapq = static_cast<std::uint8_t>(
-                m.edit_distance == best->edit_distance ? 60 : 0);
-            if (m.strand == genomics::Strand::Reverse) {
-                rec.flag |= genomics::SamRecord::kFlagReverse;
-            }
-            if (&m != &*best) {
-                rec.flag |= genomics::SamRecord::kFlagSecondary;
-            }
-            rec.seq = read.to_string();
-            records.push_back(std::move(rec));
-        }
-    }
-    return records;
-}
-
 } // namespace repute::core

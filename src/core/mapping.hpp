@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/scheduler.hpp"
-#include "genomics/sam_lite.hpp"
 #include "genomics/sequence.hpp"
 #include "obs/stage_counters.hpp"
 #include "ocl/device.hpp"
@@ -98,11 +97,5 @@ public:
     /// energy::DeviceUsage::power_scale).
     virtual double power_scale() const noexcept { return 1.0; }
 };
-
-/// Converts a map result to SAM-lite records (primary = lowest edit
-/// distance; others flagged secondary).
-std::vector<genomics::SamRecord> to_sam(const genomics::ReadBatch& batch,
-                                        const MapResult& result,
-                                        const std::string& reference_name);
 
 } // namespace repute::core

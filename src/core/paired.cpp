@@ -23,85 +23,6 @@ std::uint32_t fr_insert(std::uint32_t fwd_pos, std::uint32_t rev_pos,
 
 } // namespace
 
-std::vector<genomics::SamRecord> paired_to_sam(
-    const genomics::ReadBatch& first, const genomics::ReadBatch& second,
-    const PairedResult& result, const std::string& reference_name) {
-    using genomics::SamRecord;
-    std::vector<SamRecord> records;
-    records.reserve(2 * result.pairs.size());
-    // String (not literal) sources: assigning "*" / "=" directly inside
-    // the inlined lambda trips GCC 12's -Wrestrict false positive.
-    static const std::string kStar = "*";
-    static const std::string kSame = "=";
-
-    for (std::size_t i = 0; i < result.pairs.size(); ++i) {
-        const PairMapping& pair = result.pairs[i];
-        bool m1 = false, m2 = false;
-        switch (pair.classification) {
-            case PairClass::Proper:
-            case PairClass::Rescued:
-            case PairClass::Discordant: m1 = m2 = true; break;
-            case PairClass::OneMateUnmapped:
-                // Only the mapped side was filled; the other mate reads
-                // as a value-initialized ReadMapping.
-                m1 = !(pair.mate1 == ReadMapping{});
-                m2 = !(pair.mate2 == ReadMapping{});
-                break;
-            case PairClass::BothUnmapped: break;
-        }
-        const bool proper = pair.classification == PairClass::Proper ||
-                            pair.classification == PairClass::Rescued;
-
-        auto make_record = [&](bool is_first) {
-            const auto& read =
-                is_first ? first.reads[i] : second.reads[i];
-            const auto& own = is_first ? pair.mate1 : pair.mate2;
-            const auto& other = is_first ? pair.mate2 : pair.mate1;
-            const bool own_mapped = is_first ? m1 : m2;
-            const bool other_mapped = is_first ? m2 : m1;
-
-            SamRecord rec;
-            rec.qname = read.name;
-            rec.seq = read.to_string();
-            rec.flag = SamRecord::kFlagPaired |
-                       (is_first ? SamRecord::kFlagFirstInPair
-                                 : SamRecord::kFlagSecondInPair);
-            if (!own_mapped) {
-                rec.flag |= SamRecord::kFlagUnmapped;
-                rec.rname = kStar;
-            } else {
-                rec.rname = reference_name;
-                rec.pos = own.position + 1;
-                rec.edit_distance = own.edit_distance;
-                if (own.strand == genomics::Strand::Reverse) {
-                    rec.flag |= SamRecord::kFlagReverse;
-                }
-                if (proper) rec.flag |= SamRecord::kFlagProperPair;
-            }
-            if (!other_mapped) {
-                rec.flag |= SamRecord::kFlagMateUnmapped;
-            } else {
-                rec.rnext = kSame;
-                rec.pnext = other.position + 1;
-                if (other.strand == genomics::Strand::Reverse) {
-                    rec.flag |= SamRecord::kFlagMateReverse;
-                }
-                if (own_mapped && proper) {
-                    const std::int32_t span =
-                        static_cast<std::int32_t>(pair.insert_size);
-                    // Leftmost mate gets +TLEN, rightmost -TLEN.
-                    rec.tlen = own.position <= other.position ? span
-                                                              : -span;
-                }
-            }
-            return rec;
-        };
-        records.push_back(make_record(true));
-        records.push_back(make_record(false));
-    }
-    return records;
-}
-
 std::size_t PairedResult::count(PairClass c) const noexcept {
     std::size_t n = 0;
     for (const auto& p : pairs) n += (p.classification == c) ? 1 : 0;

@@ -57,12 +57,6 @@ struct PairedResult {
     std::uint64_t bytes_drained() const noexcept { return drained; }
 };
 
-/// SAM export of a paired run: two records per pair (first/second in
-/// pair), with proper-pair/mate flags and RNEXT/PNEXT/TLEN filled.
-std::vector<genomics::SamRecord> paired_to_sam(
-    const genomics::ReadBatch& first, const genomics::ReadBatch& second,
-    const PairedResult& result, const std::string& reference_name);
-
 class PairedMapper {
 public:
     /// `single` maps the individual mates; `reference` is needed for

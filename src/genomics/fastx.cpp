@@ -1,13 +1,9 @@
 #include "genomics/fastx.hpp"
 
-#include <algorithm>
 #include <fstream>
-#include <map>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/gzip_stream.hpp"
-#include "util/packed_dna.hpp"
 
 namespace repute::genomics {
 
@@ -19,52 +15,29 @@ std::string header_name(const std::string& line, std::size_t offset) {
                        end == std::string::npos ? end : end - offset);
 }
 
-std::ifstream open_or_throw(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("cannot open file: " + path);
-    return in;
-}
-
-std::vector<FastaRecord> read_fasta_plain(std::istream& in);
-std::vector<FastqRecord> read_fastq_plain(std::istream& in);
-
 } // namespace
 
 std::vector<FastaRecord> read_fasta(std::istream& in) {
-    if (util::sniff_gzip_magic(in)) {
-        util::GzipInputStream gz(in);
-        return read_fasta_plain(gz.stream());
-    }
-    return read_fasta_plain(in);
-}
-
-namespace {
-
-std::vector<FastaRecord> read_fasta_plain(std::istream& in) {
+    FastxRecordStream stream(in, FastxFormat::Fasta);
     std::vector<FastaRecord> records;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        if (line.empty()) continue;
-        if (line[0] == '>') {
-            records.push_back({header_name(line, 1), {}});
-        } else if (line[0] == ';') {
-            continue; // legacy FASTA comment
-        } else {
-            if (records.empty()) {
-                throw std::runtime_error(
-                    "FASTA: sequence data before first header");
-            }
-            records.back().sequence += line;
+    FastqRecord record;
+    std::string error;
+    while (true) {
+        switch (stream.next(record, &error)) {
+            case FastxRecordStream::Status::Record:
+                records.push_back(
+                    {std::move(record.name), std::move(record.sequence)});
+                break;
+            case FastxRecordStream::Status::Malformed:
+                throw std::runtime_error(error);
+            case FastxRecordStream::Status::End: return records;
         }
     }
-    return records;
 }
 
-} // namespace
-
 std::vector<FastaRecord> read_fasta_file(const std::string& path) {
-    auto in = open_or_throw(path);
+    std::ifstream in(path, std::ios::binary);
+    if (!in) throw std::runtime_error("cannot open file: " + path);
     return read_fasta(in);
 }
 
@@ -78,93 +51,12 @@ void write_fasta(std::ostream& out, const std::vector<FastaRecord>& records,
     }
 }
 
-std::vector<FastqRecord> read_fastq(std::istream& in) {
-    if (util::sniff_gzip_magic(in)) {
-        util::GzipInputStream gz(in);
-        return read_fastq_plain(gz.stream());
-    }
-    return read_fastq_plain(in);
-}
-
-namespace {
-
-std::vector<FastqRecord> read_fastq_plain(std::istream& in) {
-    std::vector<FastqRecord> records;
-    std::string header, seq, plus, qual;
-    while (std::getline(in, header)) {
-        if (!header.empty() && header.back() == '\r') header.pop_back();
-        if (header.empty()) continue;
-        if (header[0] != '@') {
-            throw std::runtime_error("FASTQ: expected '@', got: " + header);
-        }
-        if (!std::getline(in, seq) || !std::getline(in, plus) ||
-            !std::getline(in, qual)) {
-            throw std::runtime_error("FASTQ: truncated record: " + header);
-        }
-        if (!seq.empty() && seq.back() == '\r') seq.pop_back();
-        if (!qual.empty() && qual.back() == '\r') qual.pop_back();
-        if (plus.empty() || plus[0] != '+') {
-            throw std::runtime_error("FASTQ: missing '+' line in record: " +
-                                     header);
-        }
-        if (seq.size() != qual.size()) {
-            throw std::runtime_error(
-                "FASTQ: sequence/quality length mismatch in record: " +
-                header);
-        }
-        records.push_back({header_name(header, 1), std::move(seq),
-                           std::move(qual)});
-    }
-    return records;
-}
-
-} // namespace
-
-std::vector<FastqRecord> read_fastq_file(const std::string& path) {
-    auto in = open_or_throw(path);
-    return read_fastq(in);
-}
-
 void write_fastq(std::ostream& out, const std::vector<FastqRecord>& records) {
     for (const auto& r : records) {
         out << '@' << r.name << '\n'
             << r.sequence << "\n+\n"
             << r.quality << '\n';
     }
-}
-
-ReadBatch to_read_batch(const std::vector<FastqRecord>& records,
-                        std::size_t* dropped) {
-    ReadBatch batch;
-    if (records.empty()) {
-        if (dropped) *dropped = 0;
-        return batch;
-    }
-    // Majority length wins.
-    std::map<std::size_t, std::size_t> hist;
-    for (const auto& r : records) ++hist[r.sequence.size()];
-    const auto majority = std::max_element(
-        hist.begin(), hist.end(),
-        [](const auto& a, const auto& b) { return a.second < b.second; });
-    batch.read_length = majority->first;
-
-    std::size_t n_dropped = 0;
-    for (const auto& r : records) {
-        if (r.sequence.size() != batch.read_length) {
-            ++n_dropped;
-            continue;
-        }
-        Read read;
-        read.id = static_cast<std::uint32_t>(batch.reads.size());
-        read.name = r.name;
-        read.codes.resize(r.sequence.size());
-        for (std::size_t i = 0; i < r.sequence.size(); ++i) {
-            read.codes[i] = util::base_to_code(r.sequence[i]);
-        }
-        batch.reads.push_back(std::move(read));
-    }
-    if (dropped) *dropped = n_dropped;
-    return batch;
 }
 
 FastxRecordStream::FastxRecordStream(std::istream& in, FastxFormat format)

@@ -1,13 +1,17 @@
 #pragma once
-// FASTA / FASTQ readers and writers.
+// FASTA / FASTQ parsing and writing.
 //
-// Line-based parsers supporting multi-line FASTA records and 4-line FASTQ
-// records. Used by the examples to load real data when available and to
-// persist simulated datasets for cross-tool comparison.
+// FastxRecordStream is the only parser: a record-at-a-time scanner for
+// multi-line FASTA records and 4-line FASTQ records. Reads reach the
+// mapper through it (pipeline::StreamingFastxReader buckets its
+// records), and read_fasta() is a loop over it for callers that need a
+// whole reference in memory (`repute index build`, building a session
+// from FASTA). The writers persist simulated datasets for cross-tool
+// comparison and benchmark inputs.
 //
-// Every reader sniffs the gzip magic at the stream's current position
-// and transparently inflates compressed input (util::GzipInputStream),
-// so `.gz` files flow through the same parsers as plain text — from CLI
+// The stream sniffs the gzip magic at its input's current position and
+// transparently inflates compressed input (util::GzipInputStream), so
+// `.gz` files flow through the same parser as plain text — from CLI
 // files, daemon request blobs, or any istream. Builds without zlib
 // (-DREPUTE_ZLIB=OFF) reject gzip input with a clear error instead.
 
@@ -16,8 +20,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-#include "genomics/sequence.hpp"
 
 namespace repute::util {
 class GzipInputStream;
@@ -30,8 +32,9 @@ struct FastaRecord {
     std::string sequence; ///< raw ASCII bases
 };
 
-/// Parses all records from a FASTA stream; throws std::runtime_error on a
-/// structurally malformed file (e.g. sequence data before any header).
+/// Parses all records from a FASTA stream through FastxRecordStream;
+/// throws the stream's malformed-record error (std::runtime_error, e.g.
+/// sequence data before any header).
 std::vector<FastaRecord> read_fasta(std::istream& in);
 std::vector<FastaRecord> read_fasta_file(const std::string& path);
 
@@ -45,26 +48,16 @@ struct FastqRecord {
     std::string quality; ///< same length as sequence
 };
 
-std::vector<FastqRecord> read_fastq(std::istream& in);
-std::vector<FastqRecord> read_fastq_file(const std::string& path);
 void write_fastq(std::ostream& out, const std::vector<FastqRecord>& records);
-
-/// Converts FASTQ records into a fixed-length ReadBatch; records whose
-/// length differs from the majority length are dropped (mirrors the
-/// paper's fixed-n kernels). Returns number of dropped records via out
-/// param if non-null.
-ReadBatch to_read_batch(const std::vector<FastqRecord>& records,
-                        std::size_t* dropped = nullptr);
 
 enum class FastxFormat { Auto, Fasta, Fastq };
 
-/// Record-at-a-time FASTA/FASTQ scanner — the streaming counterpart of
-/// read_fasta()/read_fastq(). Instead of throwing on a structurally
-/// malformed record it reports Status::Malformed for that record and
-/// resynchronizes on the next plausible record start, so a caller can
-/// implement a per-record error policy (drop-and-count or fail-fast)
-/// without losing the rest of the file. FASTA records come back as
-/// FastqRecords with an empty quality string.
+/// Record-at-a-time FASTA/FASTQ scanner. Instead of throwing on a
+/// structurally malformed record it reports Status::Malformed for that
+/// record and resynchronizes on the next plausible record start, so a
+/// caller can implement a per-record error policy (drop-and-count or
+/// fail-fast) without losing the rest of the file. FASTA records come
+/// back as FastqRecords with an empty quality string.
 class FastxRecordStream {
 public:
     enum class Status {

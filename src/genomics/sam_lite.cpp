@@ -2,27 +2,10 @@
 
 #include <charconv>
 #include <cstdlib>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 namespace repute::genomics {
-
-void write_sam(std::ostream& out, const std::string& reference_name,
-               std::size_t reference_length,
-               const std::vector<SamRecord>& records) {
-    out << "@HD\tVN:1.6\tSO:unknown\n";
-    out << "@SQ\tSN:" << reference_name << "\tLN:" << reference_length
-        << '\n';
-    out << "@PG\tID:repute\tPN:repute\tVN:1.0.0\n";
-    for (const auto& r : records) {
-        out << r.qname << '\t' << r.flag << '\t'
-            << (r.unmapped() ? "*" : r.rname) << '\t' << r.pos << '\t'
-            << static_cast<unsigned>(r.mapq) << '\t' << r.cigar << '\t'
-            << r.rnext << '\t' << r.pnext << '\t' << r.tlen << '\t'
-            << r.seq << "\t*\tNM:i:" << r.edit_distance << '\n';
-    }
-}
 
 namespace {
 

@@ -1,11 +1,12 @@
 #pragma once
-// SAM-lite output.
+// SAM-lite records.
 //
 // The paper's REPUTE reports (position, edit distance, strand) per
-// mapping and defers full SAM/CIGAR to future work; we emit a SAM-subset
-// record that carries exactly those fields plus the CIGAR string our
-// alignment layer produces (implemented here as the paper's announced
-// extension).
+// mapping and defers full SAM/CIGAR to future work; SamRecord is a
+// SAM-subset record that carries exactly those fields plus the CIGAR
+// string and mate fields (implemented here as the paper's announced
+// extension). pipeline::SamEmitter is the only writer; read_sam parses
+// its output back for tests and the end-to-end benchmark's checker.
 
 #include <cstdint>
 #include <iosfwd>
@@ -47,13 +48,9 @@ struct SamRecord {
     }
 };
 
-/// Writes @HD/@SQ headers followed by the records.
-void write_sam(std::ostream& out, const std::string& reference_name,
-               std::size_t reference_length,
-               const std::vector<SamRecord>& records);
-
-/// Parses records written by write_sam (headers skipped). Tolerates
-/// missing optional tags; throws std::runtime_error on malformed lines.
+/// Parses records written by pipeline::SamEmitter (headers skipped).
+/// Tolerates missing optional tags; throws std::runtime_error on
+/// malformed lines.
 std::vector<SamRecord> read_sam(std::istream& in);
 
 } // namespace repute::genomics

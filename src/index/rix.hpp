@@ -1,12 +1,13 @@
 #pragma once
 // .rix — the mappable index container (tentpole of the serving stack).
 //
-// The iostream FMI2 image optimizes for compactness: it stores the flat
-// BWT and rebuilds the interleaved rank blocks and q-gram table on every
-// load, which costs a construction-shaped burst of CPU and doubles peak
-// memory. A daemon that holds one index resident for hours wants the
-// opposite trade: pay layout cost once at `repute index build` time and
-// make loads O(sections) — open, checksum, point spans at the mapping.
+// The only on-disk index format. The iostream FMI2 stream image it
+// replaced stored the flat BWT and rebuilt the interleaved rank blocks
+// and q-gram table on every load — a construction-shaped burst of CPU
+// and doubled peak memory. A daemon that holds one index resident for
+// hours wants the opposite trade: pay layout cost once at `repute index
+// build` time and make loads O(sections) — open, checksum, point spans
+// at the mapping.
 //
 // Layout (little-endian only; the header carries an endian tag so a
 // foreign-order file is rejected, not misread):

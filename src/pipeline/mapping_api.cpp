@@ -204,10 +204,6 @@ MapResponse MappingSession::map(const MapRequest& request,
         throw std::invalid_argument(
             "MappingSession: request carries no reads stream");
     }
-    if (request.monolithic && request.reads2 != nullptr) {
-        throw std::invalid_argument(
-            "MappingSession: monolithic requests are single-end only");
-    }
 
     const util::Stopwatch wall;
     const PoolGrant grant(*this, acquire(request.map_workers),
@@ -242,21 +238,7 @@ MapResponse MappingSession::map(const MapRequest& request,
         response.reads_in =
             2 * (reader.stats().records + reader.stats().dropped());
         response.dropped = 2 * reader.stats().dropped();
-    } else if (request.monolithic) {
-        std::size_t length_dropped = 0;
-        const auto batch = genomics::to_read_batch(
-            genomics::read_fastq(*request.reads), &length_dropped);
-        if (batch.empty()) {
-            throw std::runtime_error(
-                "MappingSession: no reads in monolithic request");
-        }
-        const auto result = mappers.front()->map(batch, request.delta);
-        emitter.emit(batch, result);
-        response.reads_in = batch.size() + length_dropped;
-        response.dropped = length_dropped;
-        response.xfer_bytes_staged = result.bytes_staged();
-        response.xfer_bytes_drained = result.bytes_drained();
-    } else { // single-end streaming (length-bucketed)
+    } else { // single-end (length-bucketed)
         StreamingFastxReader reader(*request.reads, request.reader);
         response.pipeline = run_pipeline(reader, mappers, request.delta,
                                          emitter, sam_out, pipe_config);
@@ -264,10 +246,8 @@ MapResponse MappingSession::map(const MapRequest& request,
             reader.stats().records + reader.stats().dropped();
         response.dropped = reader.stats().dropped();
     }
-    if (!request.monolithic) {
-        response.xfer_bytes_staged = response.pipeline.bytes_staged;
-        response.xfer_bytes_drained = response.pipeline.bytes_drained;
-    }
+    response.xfer_bytes_staged = response.pipeline.bytes_staged;
+    response.xfer_bytes_drained = response.pipeline.bytes_drained;
 
     response.emitted = emitter.stats();
     response.wall_seconds = wall.seconds();

@@ -9,7 +9,11 @@
 // the one-shot CLI (`repute map`), the daemon (`repute serve`), the
 // benches and the tests. run_pipeline (mapping_pipeline.hpp) is the
 // streaming engine underneath, for single-end and paired requests
-// alike; constructing mappers by hand via make_repute/make_coral is for
+// alike: every request's reads enter through the length-bucketing
+// readers (genomics::FastxRecordStream underneath) and its SAM leaves
+// through SamEmitter — there is no parse-everything-then-map path; a
+// caller wanting one batch sets reader.batch_size to at least the read
+// count. Constructing mappers by hand via make_repute/make_coral is for
 // code that needs to bypass the session (kernel benches, device-level
 // tests).
 //
@@ -84,9 +88,6 @@ struct MapRequest {
     std::istream* reads2 = nullptr; ///< second mates -> paired-end
     std::uint32_t delta = 5;
     bool cigar = true;
-    /// Parse-everything-then-map reference path (no streaming overlap);
-    /// single-end only.
-    bool monolithic = false;
     /// Mappers wanted; the grant is fair-share clamped (see above).
     std::size_t map_workers = 1;
     std::size_t queue_depth = 4;
@@ -98,7 +99,7 @@ struct MapRequest {
 };
 
 struct MapResponse {
-    PipelineStats pipeline; ///< zeroed for monolithic requests
+    PipelineStats pipeline;
     SamEmitter::Stats emitted;
     std::size_t reads_in = 0;
     std::size_t dropped = 0;

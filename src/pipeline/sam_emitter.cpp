@@ -1,5 +1,6 @@
 #include "pipeline/sam_emitter.hpp"
 
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -80,7 +81,6 @@ void SamEmitter::emit_read(std::ostream& out,
         genomics::SamRecord rec;
         rec.qname = read.name;
         rec.flag = genomics::SamRecord::kFlagUnmapped;
-        rec.rname = "*";
         write_record(out, rec);
     }
     ++stats_.reads;
@@ -101,45 +101,106 @@ std::string SamEmitter::render_read(const genomics::ReadBatch& batch,
     return std::move(buf).str();
 }
 
-void SamEmitter::finalize_pair_record(std::ostream& out,
-                                      genomics::SamRecord& rec,
-                                      std::uint32_t own_len,
-                                      std::uint32_t mate_len) {
-    if (!rec.unmapped()) {
-        // paired_to_sam reports concatenated-text coordinates; resolve
-        // to the source sequence or demote to unmapped when the
-        // placement straddles a boundary.
-        if (!multi_->within_one_sequence(rec.pos - 1, own_len)) {
+namespace {
+
+/// A mate's placement in per-sequence coordinates.
+struct Placement {
+    const core::ReadMapping* mapping;
+    std::size_t sequence;
+    std::uint32_t offset; ///< 0-based
+};
+
+} // namespace
+
+void SamEmitter::emit_pair(std::ostream& out, const genomics::Read& read1,
+                           const genomics::Read& read2,
+                           const core::PairMapping& pair) {
+    using genomics::SamRecord;
+    bool mapped1 = false, mapped2 = false;
+    switch (pair.classification) {
+        case core::PairClass::Proper:
+        case core::PairClass::Rescued:
+        case core::PairClass::Discordant: mapped1 = mapped2 = true; break;
+        case core::PairClass::OneMateUnmapped:
+            // Only the mapped side was filled; the other mate reads as a
+            // value-initialized ReadMapping.
+            mapped1 = !(pair.mate1 == core::ReadMapping{});
+            mapped2 = !(pair.mate2 == core::ReadMapping{});
+            break;
+        case core::PairClass::BothUnmapped: break;
+    }
+    // Resolve both placements before writing either record: the mate
+    // fields of one record depend on where the other one landed.
+    const auto place = [&](const genomics::Read& read,
+                           const core::ReadMapping& m,
+                           bool mapped) -> std::optional<Placement> {
+        if (!mapped) return std::nullopt;
+        if (!multi_->within_one_sequence(
+                m.position, static_cast<std::uint32_t>(read.length()))) {
             ++stats_.dropped_boundary;
-            rec.flag |= genomics::SamRecord::kFlagUnmapped;
-            rec.flag &= static_cast<std::uint16_t>(
-                ~genomics::SamRecord::kFlagProperPair);
-            rec.pos = 0;
-            rec.cigar = "*";
-            rec.tlen = 0;
-        } else {
-            const auto loc = multi_->resolve(rec.pos - 1);
-            rec.rname = multi_->sequence_name(loc.sequence_index);
-            rec.pos = loc.offset + 1;
+            return std::nullopt;
         }
-    }
-    if (rec.pnext != 0) {
-        if (multi_->within_one_sequence(rec.pnext - 1, mate_len)) {
-            rec.pnext = multi_->resolve(rec.pnext - 1).offset + 1;
+        const auto loc = multi_->resolve(m.position);
+        return Placement{&m, loc.sequence_index, loc.offset};
+    };
+    const std::optional<Placement> placed[2] = {
+        place(read1, pair.mate1, mapped1), place(read2, pair.mate2, mapped2)};
+    const bool same_sequence =
+        placed[0] && placed[1] && placed[0]->sequence == placed[1]->sequence;
+    const bool proper =
+        same_sequence && (pair.classification == core::PairClass::Proper ||
+                          pair.classification == core::PairClass::Rescued);
+    // String (not literal) source: assigning "=" directly trips GCC 12's
+    // -Wrestrict false positive.
+    static const std::string kSame = "=";
+
+    const genomics::Read* reads[2] = {&read1, &read2};
+    for (int k = 0; k < 2; ++k) {
+        const auto& own = placed[k];
+        const auto& mate = placed[1 - k];
+        SamRecord rec;
+        rec.qname = reads[k]->name;
+        rec.seq = reads[k]->to_string();
+        rec.flag = SamRecord::kFlagPaired |
+                   (k == 0 ? SamRecord::kFlagFirstInPair
+                           : SamRecord::kFlagSecondInPair);
+        if (own) {
+            rec.rname = multi_->sequence_name(own->sequence);
+            rec.pos = own->offset + 1;
+            rec.edit_distance = own->mapping->edit_distance;
+            if (own->mapping->strand == genomics::Strand::Reverse) {
+                rec.flag |= SamRecord::kFlagReverse;
+            }
+            if (proper) rec.flag |= SamRecord::kFlagProperPair;
         } else {
-            rec.rnext = "*";
-            rec.pnext = 0;
-            rec.tlen = 0;
+            rec.flag |= SamRecord::kFlagUnmapped;
         }
+        if (mate) {
+            if (mate->mapping->strand == genomics::Strand::Reverse) {
+                rec.flag |= SamRecord::kFlagMateReverse;
+            }
+            rec.rnext =
+                same_sequence ? kSame : multi_->sequence_name(mate->sequence);
+            rec.pnext = mate->offset + 1;
+            if (proper) {
+                // Leftmost mate gets +TLEN, rightmost -TLEN.
+                const auto span = static_cast<std::int32_t>(pair.insert_size);
+                rec.tlen = own->mapping->position <= mate->mapping->position
+                               ? span
+                               : -span;
+            }
+        } else {
+            rec.flag |= SamRecord::kFlagMateUnmapped;
+        }
+        write_record(out, rec);
+        ++stats_.reads;
     }
-    write_record(out, rec);
-    ++stats_.reads;
 }
 
 void SamEmitter::emit_paired(const genomics::ReadBatch& first,
                              const genomics::ReadBatch& second,
                              const core::PairedResult& result) {
-    for (const std::string& pair : render_paired(first, second, result)) {
+    for (const auto& pair : render_paired(first, second, result)) {
         *out_ << pair;
     }
 }
@@ -147,21 +208,11 @@ void SamEmitter::emit_paired(const genomics::ReadBatch& first,
 std::vector<std::string> SamEmitter::render_paired(
     const genomics::ReadBatch& first, const genomics::ReadBatch& second,
     const core::PairedResult& result) {
-    auto records = core::paired_to_sam(
-        first, second, result, multi_->concatenated().name());
-    // records[2i] / records[2i+1] are pair i's first/second mate; each
-    // record's own placement is checked against its own read length and
-    // its PNEXT against the mate's.
     std::vector<std::string> out;
-    out.reserve(records.size() / 2);
-    for (std::size_t i = 0; i * 2 + 1 < records.size(); ++i) {
-        const auto len1 =
-            static_cast<std::uint32_t>(first.reads[i].length());
-        const auto len2 =
-            static_cast<std::uint32_t>(second.reads[i].length());
+    out.reserve(result.pairs.size());
+    for (std::size_t i = 0; i < result.pairs.size(); ++i) {
         std::ostringstream buf;
-        finalize_pair_record(buf, records[2 * i], len1, len2);
-        finalize_pair_record(buf, records[2 * i + 1], len2, len1);
+        emit_pair(buf, first.reads[i], second.reads[i], result.pairs[i]);
         out.push_back(std::move(buf).str());
     }
     return out;

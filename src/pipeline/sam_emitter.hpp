@@ -1,18 +1,19 @@
 #pragma once
-// Streaming SAM emission — the output stage of the batch pipeline.
+// Streaming SAM emission — the output stage of the batch pipeline and
+// the only SAM writer in the tool.
 //
 // One SamEmitter owns an output stream for the duration of a run:
 // write_header() once, then emit() per mapped batch, in order. The
-// record formatting is the single source of truth shared by the
-// streaming CLI and the monolithic map_fastq path, which is what makes
-// "streaming output is byte-identical to monolithic output" a testable
-// property rather than a hope.
+// record formatting is the single source of truth for every caller —
+// the streaming CLI, the daemon, the benches and the tests — which is
+// what makes "streaming output is byte-identical to one big batch" a
+// testable property rather than a hope.
 //
 // Coordinates: mapping positions are on the concatenated multi-sequence
 // text; the emitter resolves them back to (sequence name, 1-based
 // offset) and drops mappings whose window straddles a sequence
-// boundary. With cigar enabled (the default) each mapping is re-aligned
-// host-side for a precise position and CIGAR string
+// boundary. With cigar enabled (the default) each single-end mapping is
+// re-aligned host-side for a precise position and CIGAR string
 // (core::annotate_mapping); mappings the re-alignment cannot confirm
 // are dropped and counted.
 
@@ -25,6 +26,7 @@
 #include "core/mapping.hpp"
 #include "core/paired.hpp"
 #include "genomics/multi_reference.hpp"
+#include "genomics/sam_lite.hpp"
 
 namespace repute::pipeline {
 
@@ -57,9 +59,14 @@ public:
     void emit(const genomics::ReadBatch& batch,
               const core::MapResult& result);
 
-    /// Paired batch: two records per pair with mate flags and TLEN,
-    /// resolved to per-sequence coordinates. Mates whose placement
-    /// straddles a sequence boundary are demoted to unmapped records.
+    /// Paired batch: two records per pair (first mate, then second),
+    /// both placements resolved to per-sequence coordinates before
+    /// either record is written. A mate whose placement straddles a
+    /// sequence boundary is demoted to unmapped. 0x8 marks an unmapped
+    /// mate and 0x20 a mapped reverse one; RNEXT is '=' only when both
+    /// mates sit on the same sequence, else the mate's sequence name
+    /// ('*' when the mate is unmapped); 0x2 and TLEN need both mates on
+    /// one sequence and a Proper or Rescued pair.
     void emit_paired(const genomics::ReadBatch& first,
                      const genomics::ReadBatch& second,
                      const core::PairedResult& result);
@@ -83,9 +90,9 @@ private:
     void write_record(std::ostream& out, const genomics::SamRecord& rec);
     void emit_read(std::ostream& out, const genomics::ReadBatch& batch,
                    std::size_t index, const core::MapResult& result);
-    void finalize_pair_record(std::ostream& out, genomics::SamRecord& rec,
-                              std::uint32_t own_len,
-                              std::uint32_t mate_len);
+    void emit_pair(std::ostream& out, const genomics::Read& read1,
+                   const genomics::Read& read2,
+                   const core::PairMapping& pair);
 
     std::ostream* out_;
     const genomics::MultiReference* multi_;

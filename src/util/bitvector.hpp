@@ -15,7 +15,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -100,11 +99,6 @@ public:
 
     /// Builds the rank directories; call after the last mutation.
     void build_rank();
-
-    /// Binary serialization (bits only; rank directories are rebuilt on
-    /// load). Throws std::runtime_error on a short read.
-    void save(std::ostream& out) const;
-    static BitVector load(std::istream& in);
 
 private:
     std::size_t size_ = 0;

@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <string_view>
@@ -111,10 +110,6 @@ public:
     }
 
     bool operator==(const PackedDna& other) const noexcept;
-
-    /// Binary serialization. Throws std::runtime_error on a short read.
-    void save(std::ostream& out) const;
-    static PackedDna load(std::istream& in);
 
 private:
     std::size_t size_ = 0;

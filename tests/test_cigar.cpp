@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "core/cigar.hpp"
@@ -10,9 +11,12 @@
 #include "core/repute_mapper.hpp"
 #include "filter/memopt_seeder.hpp"
 #include "genomics/genome_sim.hpp"
+#include "genomics/multi_reference.hpp"
 #include "genomics/read_sim.hpp"
+#include "genomics/sam_lite.hpp"
 #include "index/fm_index.hpp"
 #include "ocl/platform.hpp"
+#include "pipeline/sam_emitter.hpp"
 
 namespace {
 
@@ -20,7 +24,6 @@ using repute::core::annotate_mapping;
 using repute::core::KernelConfig;
 using repute::core::ReadMapping;
 using repute::core::StageTotals;
-using repute::core::to_sam_with_cigar;
 using repute::genomics::GenomeSimConfig;
 using repute::genomics::ReadSimConfig;
 using repute::genomics::Reference;
@@ -141,10 +144,13 @@ TEST_F(CigarTest, EndToEndSamWithCigar) {
                                             {{&dev, 1.0}});
     const auto result = mapper->map(sim_->batch, 4);
 
-    std::size_t dropped = 0;
-    const auto sam = to_sam_with_cigar(sim_->batch, result, *reference_,
-                                       4, &dropped);
-    EXPECT_EQ(dropped, 0u) << "kernel mappings must all re-align";
+    const repute::genomics::MultiReference multi(*reference_);
+    std::stringstream io;
+    repute::pipeline::SamEmitter emitter(io, multi, {true, 4});
+    emitter.emit(sim_->batch, result);
+    EXPECT_EQ(emitter.stats().dropped_cigar, 0u)
+        << "kernel mappings must all re-align";
+    const auto sam = repute::genomics::read_sam(io);
 
     std::size_t mapped_records = 0;
     for (const auto& rec : sam) {

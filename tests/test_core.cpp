@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,10 +18,13 @@
 #include "filter/memopt_seeder.hpp"
 #include "filter/uniform_seeder.hpp"
 #include "genomics/genome_sim.hpp"
+#include "genomics/multi_reference.hpp"
 #include "genomics/read_sim.hpp"
+#include "genomics/sam_lite.hpp"
 #include "index/fm_index.hpp"
 #include "obs/trace.hpp"
 #include "ocl/platform.hpp"
+#include "pipeline/sam_emitter.hpp"
 
 namespace {
 
@@ -499,20 +503,32 @@ TEST_F(CoreTest, SamExportHasRecordPerMappingAndUnmappedReads) {
     auto mapper =
         make_repute(*reference_, *fm_, {{&dev, 1.0}}, config);
     const auto result = mapper->map(sim_->batch, 3);
-    const auto sam =
-        repute::core::to_sam(sim_->batch, result, reference_->name());
+    const repute::genomics::MultiReference multi(*reference_);
+    std::stringstream io;
+    repute::pipeline::SamEmitter emitter(io, multi, {false, 3});
+    emitter.emit(sim_->batch, result);
+    const auto sam = repute::genomics::read_sam(io);
 
     std::size_t expected = 0;
     for (const auto& m : result.per_read) {
         expected += m.empty() ? 1 : m.size();
     }
+    EXPECT_EQ(emitter.stats().dropped_boundary, 0u);
     EXPECT_EQ(sam.size(), expected);
+    EXPECT_EQ(emitter.stats().records, expected);
+    // One primary record per read; every other mapping is secondary.
+    std::size_t primaries = 0;
     for (const auto& rec : sam) {
+        if (!(rec.flag & repute::genomics::SamRecord::kFlagSecondary)) {
+            ++primaries;
+        }
         if (!rec.unmapped()) {
+            EXPECT_EQ(rec.rname, reference_->name());
             EXPECT_GE(rec.pos, 1u);
             EXPECT_LE(rec.edit_distance, 3u);
         }
     }
+    EXPECT_EQ(primaries, sim_->batch.size());
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 // genomics: sequences, FASTA/FASTQ round trips, the genome simulator's
 // statistical contracts, the read simulator's ground-truth guarantee,
-// and SAM-lite I/O.
+// and SAM-lite records read back from the emitter's output.
 
 #include <gtest/gtest.h>
 
@@ -8,21 +8,26 @@
 #include <sstream>
 
 #include "align/edit_distance.hpp"
+#include "core/mapping.hpp"
 #include "genomics/fastx.hpp"
 #include "genomics/spectrum.hpp"
 #include "genomics/genome_sim.hpp"
+#include "genomics/multi_reference.hpp"
 #include "genomics/read_sim.hpp"
 #include "genomics/sam_lite.hpp"
 #include "genomics/sequence.hpp"
+#include "pipeline/sam_emitter.hpp"
+#include "pipeline/streaming_fastx.hpp"
+#include "util/packed_dna.hpp"
 
 namespace {
 
 using repute::genomics::FastaRecord;
 using repute::genomics::FastqRecord;
+using repute::genomics::FastxRecordStream;
 using repute::genomics::GenomeSimConfig;
 using repute::genomics::Read;
 using repute::genomics::read_fasta;
-using repute::genomics::read_fastq;
 using repute::genomics::read_sam;
 using repute::genomics::ReadSimConfig;
 using repute::genomics::Reference;
@@ -30,10 +35,8 @@ using repute::genomics::SamRecord;
 using repute::genomics::simulate_genome;
 using repute::genomics::simulate_reads;
 using repute::genomics::Strand;
-using repute::genomics::to_read_batch;
 using repute::genomics::write_fasta;
 using repute::genomics::write_fastq;
-using repute::genomics::write_sam;
 
 // -------------------------------------------------------------- Sequence
 
@@ -87,42 +90,93 @@ TEST(Fasta, WriteReadRoundTrip) {
 
 // ----------------------------------------------------------------- FASTQ
 
+/// Drains a FASTQ stream: the well-formed records, plus the error text
+/// of each malformed one in `errors`.
+std::vector<FastqRecord> drain_fastq(std::istream& in,
+                                     std::vector<std::string>& errors) {
+    FastxRecordStream stream(in, repute::genomics::FastxFormat::Fastq);
+    std::vector<FastqRecord> records;
+    FastqRecord record;
+    std::string error;
+    while (true) {
+        switch (stream.next(record, &error)) {
+            case FastxRecordStream::Status::Record:
+                records.push_back(record);
+                break;
+            case FastxRecordStream::Status::Malformed:
+                errors.push_back(error);
+                break;
+            case FastxRecordStream::Status::End: return records;
+        }
+    }
+}
+
 TEST(Fastq, ParsesAndValidates) {
     std::istringstream in("@r1\nACGT\n+\nIIII\n@r2 extra\nTT\n+r2\nII\n");
-    const auto records = read_fastq(in);
+    std::vector<std::string> errors;
+    const auto records = drain_fastq(in, errors);
+    EXPECT_TRUE(errors.empty());
     ASSERT_EQ(records.size(), 2u);
     EXPECT_EQ(records[0].name, "r1");
     EXPECT_EQ(records[0].sequence, "ACGT");
-    EXPECT_EQ(records[1].name, "r2");
+    EXPECT_EQ(records[1].name, "r2"); // text after whitespace dropped
+    EXPECT_EQ(records[1].quality, "II"); // '+' line may repeat the name
 }
 
 TEST(Fastq, RejectsTruncatedAndMismatched) {
-    std::istringstream truncated("@r1\nACGT\n+\n");
-    EXPECT_THROW((void)read_fastq(truncated), std::runtime_error);
-    std::istringstream mismatched("@r1\nACGT\n+\nII\n");
-    EXPECT_THROW((void)read_fastq(mismatched), std::runtime_error);
-    std::istringstream no_plus("@r1\nACGT\nX\nIIII\n");
-    EXPECT_THROW((void)read_fastq(no_plus), std::runtime_error);
+    const std::pair<const char*, const char*> cases[] = {
+        {"@r1\nACGT\n+\n", "truncated"},
+        {"@r1\nACGT\n+\nII\n", "length mismatch"},
+        {"@r1\nACGT\nX\nIIII\n", "missing '+'"},
+    };
+    for (const auto& [text, why] : cases) {
+        std::istringstream in(text);
+        std::vector<std::string> errors;
+        EXPECT_TRUE(drain_fastq(in, errors).empty()) << text;
+        ASSERT_FALSE(errors.empty()) << text;
+        EXPECT_NE(errors.front().find(why), std::string::npos)
+            << errors.front();
+    }
 }
 
 TEST(Fastq, RoundTripAndBatchConversion) {
     std::vector<FastqRecord> records = {
         {"a", "ACGTACGT", "IIIIIIII"},
         {"b", "TTTTAAAA", "IIIIIIII"},
-        {"short", "ACG", "III"}, // dropped: minority length
+        {"short", "ACG", "III"},
     };
     std::stringstream io;
     write_fastq(io, records);
-    const auto parsed = read_fastq(io);
+    std::vector<std::string> errors;
+    const auto parsed = drain_fastq(io, errors);
+    EXPECT_TRUE(errors.empty());
     ASSERT_EQ(parsed.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(parsed[i].name, records[i].name);
+        EXPECT_EQ(parsed[i].sequence, records[i].sequence);
+        EXPECT_EQ(parsed[i].quality, records[i].quality);
+    }
 
-    std::size_t dropped = 0;
-    const auto batch = to_read_batch(parsed, &dropped);
-    EXPECT_EQ(batch.read_length, 8u);
-    EXPECT_EQ(batch.size(), 2u);
-    EXPECT_EQ(dropped, 1u);
-    EXPECT_EQ(batch.reads[0].to_string(), "ACGTACGT");
-    EXPECT_EQ(batch.reads[1].id, 1u);
+    // Batch conversion keeps every length: the 3 bp read lands in its
+    // own length class and nothing is dropped.
+    io.clear();
+    io.seekg(0);
+    repute::pipeline::StreamingReaderConfig config;
+    config.length_grid = 1;
+    repute::pipeline::StreamingFastxReader reader(io, config);
+    repute::pipeline::OrderedBatch bucket;
+    std::map<std::size_t, std::vector<std::string>> by_length;
+    while (reader.next_bucket(bucket)) {
+        for (const auto& read : bucket.batch.reads) {
+            by_length[bucket.batch.read_length].push_back(
+                read.to_string());
+        }
+    }
+    EXPECT_EQ(reader.stats().dropped(), 0u);
+    ASSERT_EQ(by_length.size(), 2u);
+    EXPECT_EQ(by_length[8],
+              (std::vector<std::string>{"ACGTACGT", "TTTTAAAA"}));
+    EXPECT_EQ(by_length[3], (std::vector<std::string>{"ACG"}));
 }
 
 // ------------------------------------------------------------ genome sim
@@ -370,12 +424,10 @@ TEST(ReadSim, ToFastqRecordsRoundTrip) {
 
     const auto records = repute::genomics::to_fastq_records(sim);
     ASSERT_EQ(records.size(), 50u);
-    std::size_t dropped = 0;
-    const auto batch = to_read_batch(records, &dropped);
-    EXPECT_EQ(dropped, 0u);
-    ASSERT_EQ(batch.size(), 50u);
     for (std::size_t i = 0; i < 50; ++i) {
-        EXPECT_EQ(batch.reads[i].codes, sim.batch.reads[i].codes);
+        EXPECT_EQ(records[i].name, sim.batch.reads[i].name);
+        EXPECT_EQ(records[i].sequence, sim.batch.reads[i].to_string());
+        EXPECT_EQ(records[i].quality.size(), 80u);
     }
 }
 
@@ -389,24 +441,44 @@ TEST(ReadSim, RejectsTooShortReference) {
 // -------------------------------------------------------------- SAM-lite
 
 TEST(SamLite, WriteReadRoundTrip) {
-    std::vector<SamRecord> records(2);
-    records[0].qname = "r1";
-    records[0].rname = "chr21";
-    records[0].pos = 1234;
-    records[0].cigar = "100M";
-    records[0].edit_distance = 3;
-    records[1].qname = "r2";
-    records[1].flag = SamRecord::kFlagUnmapped;
-    records[1].rname = "*";
+    // SamEmitter is the only writer; read_sam must parse back what it
+    // writes. r1 carries three substitutions, r2 has no mapping.
+    GenomeSimConfig config;
+    config.length = 5'000;
+    const std::string text =
+        simulate_genome(config).sequence().to_string();
+    const repute::genomics::MultiReference multi(
+        std::vector<FastaRecord>{{"chr21", text}});
+
+    repute::genomics::ReadBatch batch;
+    batch.read_length = 100;
+    batch.reads.resize(2);
+    batch.reads[0].name = "r1";
+    batch.reads[1].name = "r2";
+    for (std::size_t i = 0; i < 100; ++i) {
+        char base = text[1233 + i];
+        if (i == 10 || i == 50 || i == 90) base = base == 'A' ? 'C' : 'A';
+        batch.reads[0].codes.push_back(repute::util::base_to_code(base));
+        batch.reads[1].codes.push_back(repute::util::base_to_code('A'));
+    }
+    repute::core::MapResult result;
+    result.per_read = {{{1233, 3, Strand::Forward}}, {}};
 
     std::stringstream io;
-    write_sam(io, "chr21", 46'709'983, records);
+    repute::pipeline::SamEmitter emitter(io, multi, {true, 3});
+    emitter.write_header();
+    emitter.emit(batch, result);
+    EXPECT_NE(io.str().find("@SQ\tSN:chr21\tLN:5000\n"), std::string::npos);
     const auto parsed = read_sam(io);
     ASSERT_EQ(parsed.size(), 2u);
     EXPECT_EQ(parsed[0].qname, "r1");
+    EXPECT_EQ(parsed[0].rname, "chr21");
     EXPECT_EQ(parsed[0].pos, 1234u);
     EXPECT_EQ(parsed[0].edit_distance, 3u);
     EXPECT_EQ(parsed[0].cigar, "100M");
+    EXPECT_EQ(parsed[0].seq, batch.reads[0].to_string());
+    EXPECT_EQ(parsed[0].strand(), Strand::Forward);
+    EXPECT_EQ(parsed[1].qname, "r2");
     EXPECT_TRUE(parsed[1].unmapped());
 }
 

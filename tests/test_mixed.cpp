@@ -95,7 +95,7 @@ TEST(BucketReader, QuantizesIntoGridClassesWithVirtualPadding) {
     ASSERT_EQ(c32.batch.size(), 3u);
     EXPECT_EQ(c32.batch.reads[0].length(), 17u);
     EXPECT_EQ(c32.ordinals, (std::vector<std::uint64_t>{2, 3, 4}));
-    // Ids are dense within each bucket (batch-local, like to_read_batch).
+    // Ids are dense within each bucket (batch-local).
     for (std::size_t i = 0; i < c32.batch.size(); ++i) {
         EXPECT_EQ(c32.batch.reads[i].id, i);
     }
@@ -271,14 +271,18 @@ protected:
         return sam.str();
     }
 
-    std::string map_monolithic(const genomics::ReadBatch& batch) {
+    /// A uniform class in one bucket at its exact length (grid 1, so
+    /// no virtual padding): one map call, one emit.
+    std::string map_one_batch(const genomics::ReadBatch& batch) {
         std::istringstream reads(fastq_text(batch));
         pipeline::MapRequest request;
         request.reads = &reads;
         request.delta = 3;
-        request.monolithic = true;
+        request.reader.batch_size = batch.size();
+        request.reader.length_grid = 1;
         std::ostringstream sam;
-        session_->map(request, sam);
+        const auto response = session_->map(request, sam);
+        EXPECT_EQ(response.pipeline.units, 1u);
         return sam.str();
     }
 
@@ -304,14 +308,14 @@ TEST_F(MixedOracleTest, BucketedStreamingMatchesPerLengthSplitOracle) {
     // Small batches force many interleaved buckets plus span flushes.
     const std::string streamed = map_streaming(mixed_fastq_, 16);
 
-    // Oracle: map each uniform class monolithically, then re-merge the
+    // Oracle: map each uniform class as one batch, then re-merge the
     // records in global input order (the ordinal is in the qname).
     std::string oracle_header;
     std::map<std::string, std::string> by_qname;
     for (const auto& batch : classes_) {
         std::string header;
         std::vector<std::string> records;
-        split_sam(map_monolithic(batch), header, records);
+        split_sam(map_one_batch(batch), header, records);
         if (oracle_header.empty()) oracle_header = header;
         EXPECT_EQ(header, oracle_header);
         for (const auto& line : records) {

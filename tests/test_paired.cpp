@@ -1,18 +1,24 @@
 // Paired-end: simulation geometry, proper-pair joining, mate rescue,
-// discordant detection.
+// discordant detection, and the paired SAM fields across sequences.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "align/edit_distance.hpp"
 #include "core/paired.hpp"
 #include "core/repute_mapper.hpp"
 #include "genomics/genome_sim.hpp"
+#include "genomics/multi_reference.hpp"
 #include "genomics/pair_sim.hpp"
+#include "genomics/sam_lite.hpp"
 #include "index/fm_index.hpp"
 #include "ocl/device.hpp"
+#include "pipeline/mapping_api.hpp"
+#include "pipeline/sam_emitter.hpp"
 
 namespace {
 
@@ -234,20 +240,31 @@ TEST_F(PairedTest, PairedSamExportFlagsAndTlen) {
         second.reads.push_back(sim_->second.reads[i]);
     }
     const auto result = paired.map_pairs(first, second, 4);
-    const auto sam = repute::core::paired_to_sam(first, second, result,
-                                                 reference_->name());
+    const repute::genomics::MultiReference multi(*reference_);
+    std::stringstream io;
+    repute::pipeline::SamEmitter emitter(io, multi, {true, 4});
+    emitter.write_header();
+    emitter.emit_paired(first, second, result);
+    const auto sam = repute::genomics::read_sam(io);
     ASSERT_EQ(sam.size(), 20u);
+    EXPECT_EQ(emitter.stats().reads, 20u);
 
     using repute::genomics::SamRecord;
+    std::size_t proper = 0;
     for (std::size_t i = 0; i < sam.size(); i += 2) {
         const auto& r1 = sam[i];
         const auto& r2 = sam[i + 1];
         EXPECT_TRUE(r1.flag & SamRecord::kFlagPaired);
         EXPECT_TRUE(r1.flag & SamRecord::kFlagFirstInPair);
         EXPECT_TRUE(r2.flag & SamRecord::kFlagSecondInPair);
+        EXPECT_EQ(r1.qname, first.reads[i / 2].name);
+        EXPECT_EQ(r2.qname, second.reads[i / 2].name);
         if ((r1.flag & SamRecord::kFlagProperPair) != 0) {
+            ++proper;
             // Proper pairs: mates point at each other; TLEN mirrors.
+            EXPECT_EQ(r1.rname, reference_->name());
             EXPECT_EQ(r1.rnext, "=");
+            EXPECT_EQ(r2.rnext, "=");
             EXPECT_EQ(r1.pnext, r2.pos);
             EXPECT_EQ(r2.pnext, r1.pos);
             EXPECT_EQ(r1.tlen, -r2.tlen);
@@ -255,17 +272,99 @@ TEST_F(PairedTest, PairedSamExportFlagsAndTlen) {
             // Exactly one mate on the reverse strand.
             EXPECT_NE((r1.flag & SamRecord::kFlagReverse) != 0,
                       (r2.flag & SamRecord::kFlagReverse) != 0);
+            // 0x20 mirrors the mate's own 0x10.
+            EXPECT_EQ((r1.flag & SamRecord::kFlagMateReverse) != 0,
+                      (r2.flag & SamRecord::kFlagReverse) != 0);
         }
     }
+    EXPECT_GT(proper, 5u);
+}
 
-    // Round-trips through the SAM-lite writer/parser.
-    std::stringstream io;
-    repute::genomics::write_sam(io, reference_->name(),
-                                reference_->size(), sam);
-    const auto parsed = repute::genomics::read_sam(io);
-    ASSERT_EQ(parsed.size(), sam.size());
-    EXPECT_EQ(parsed[0].tlen, sam[0].tlen);
-    EXPECT_EQ(parsed[0].pnext, sam[0].pnext);
+// Mates that resolve to different sequences of a multi-sequence
+// reference. Each pair is placed by PairedMapper on the concatenated
+// text, where the spanning pair even looks proper; the emitter must
+// judge mate fields on per-sequence placements.
+TEST(PairedSam, MatesOnDifferentSequences) {
+    GenomeSimConfig config;
+    config.length = 30'000;
+    config.seed = 61;
+    const std::string a = simulate_genome(config).sequence().to_string();
+    config.length = 20'000;
+    config.seed = 62;
+    const std::string b = simulate_genome(config).sequence().to_string();
+    const std::string joined = a + b;
+    const auto rc = [](std::string s) {
+        for (char& c : s) {
+            c = c == 'A' ? 'T' : c == 'C' ? 'G' : c == 'G' ? 'C' : 'A';
+        }
+        return std::string(s.rbegin(), s.rend());
+    };
+    // 0-based slices, 100 bp mates, mate 2 reverse-complemented.
+    const std::pair<std::string, std::string> pairs[] = {
+        {a.substr(1000, 100), rc(b.substr(5000, 100))},   // chimeric
+        {a.substr(29850, 100), rc(b.substr(150, 100))},   // spans the join
+        {a.substr(29600, 100), rc(joined.substr(29950, 100))}, // straddler
+        {b.substr(1000, 100), rc(b.substr(1300, 100))},   // proper control
+    };
+    const char* names[] = {"chim", "span", "strad", "ok"};
+    std::string fq1, fq2;
+    for (std::size_t i = 0; i < 4; ++i) {
+        const std::string qual(100, 'I');
+        fq1 += "@" + std::string(names[i]) + "/1\n" + pairs[i].first +
+               "\n+\n" + qual + "\n";
+        fq2 += "@" + std::string(names[i]) + "/2\n" + pairs[i].second +
+               "\n+\n" + qual + "\n";
+    }
+
+    const auto session = repute::pipeline::MappingSession::from_multi(
+        repute::genomics::MultiReference(
+            std::vector<repute::genomics::FastaRecord>{{"chrA", a},
+                                                       {"chrB", b}}));
+    std::istringstream in1(fq1), in2(fq2);
+    repute::pipeline::MapRequest request;
+    request.reads = &in1;
+    request.reads2 = &in2;
+    request.delta = 3;
+    std::stringstream sam;
+    const auto response = session->map(request, sam);
+    EXPECT_EQ(response.emitted.dropped_boundary, 1u);
+
+    using repute::genomics::SamRecord;
+    std::map<std::string, SamRecord> by_name;
+    for (auto& rec : repute::genomics::read_sam(sam)) {
+        by_name[rec.qname] = rec;
+    }
+    ASSERT_EQ(by_name.size(), 8u);
+    struct Expected {
+        const char* qname;
+        std::uint16_t flag;
+        const char* rname;
+        std::uint32_t pos;
+        const char* rnext;
+        std::uint32_t pnext;
+        std::int32_t tlen;
+    };
+    const Expected expected[] = {
+        {"chim/1", 97, "chrA", 1001, "chrB", 5001, 0},
+        {"chim/2", 145, "chrB", 5001, "chrA", 1001, 0},
+        {"span/1", 97, "chrA", 29851, "chrB", 151, 0},
+        {"span/2", 145, "chrB", 151, "chrA", 29851, 0},
+        {"strad/1", 73, "chrA", 29601, "*", 0, 0},
+        {"strad/2", 133, "*", 0, "chrA", 29601, 0},
+        {"ok/1", 99, "chrB", 1001, "=", 1301, 400},
+        {"ok/2", 147, "chrB", 1301, "=", 1001, -400},
+    };
+    for (const auto& e : expected) {
+        SCOPED_TRACE(e.qname);
+        ASSERT_EQ(by_name.count(e.qname), 1u);
+        const SamRecord& rec = by_name[e.qname];
+        EXPECT_EQ(rec.flag, e.flag);
+        EXPECT_EQ(rec.rname, e.rname);
+        EXPECT_EQ(rec.pos, e.pos);
+        EXPECT_EQ(rec.rnext, e.rnext);
+        EXPECT_EQ(rec.pnext, e.pnext);
+        EXPECT_EQ(rec.tlen, e.tlen);
+    }
 }
 
 TEST_F(PairedTest, RejectsMismatchedBatches) {

@@ -1,8 +1,8 @@
 // Streaming batch pipeline: chunked FASTA/FASTQ parsing with per-record
 // error policy, bounded pipeline execution, and the headline
 // property — streaming SAM output is byte-identical to the monolithic
-// parse-then-map-then-write path, even on a skewed device fleet that
-// finishes batches out of order.
+// oracle (the whole file read as one batch, one map call, one emit),
+// even on a skewed device fleet that finishes batches out of order.
 
 #include <gtest/gtest.h>
 
@@ -301,16 +301,24 @@ TEST(MappingPipeline, StreamingSamIsByteIdenticalToMonolithic) {
     const std::uint32_t delta = 3;
     const std::string fastq = fastq_text(fix.sim.batch);
 
-    // Monolithic reference path: whole file -> one map -> one emit.
+    // Monolithic oracle: whole file as one batch at the exact read
+    // length (grid 1, no virtual padding) -> one map -> one emit.
     std::ostringstream mono_sam;
     {
         std::istringstream in(fastq);
-        const auto batch =
-            genomics::to_read_batch(genomics::read_fastq(in));
+        pipeline::StreamingReaderConfig one_batch;
+        one_batch.batch_size = fix.sim.batch.size();
+        one_batch.length_grid = 1;
+        pipeline::StreamingFastxReader reader(in, one_batch);
+        pipeline::OrderedBatch unit;
+        ASSERT_TRUE(reader.next_bucket(unit));
+        ASSERT_EQ(unit.batch.size(), fix.sim.batch.size());
+        ASSERT_EQ(unit.batch.read_length, fix.sim.batch.read_length);
         ocl::Device cpu(skew_profile("mono-cpu", 8, 1e9));
         pipeline::SamEmitter emitter(mono_sam, fix.multi, {true, delta});
         emitter.write_header();
-        emitter.emit(batch, fix.mapper(cpu)->map(batch, delta));
+        emitter.emit(unit.batch, fix.mapper(cpu)->map(unit.batch, delta));
+        EXPECT_FALSE(reader.next_bucket(unit));
     }
 
     // Streaming path over a deliberately skewed two-device fleet (the

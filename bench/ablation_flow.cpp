@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
             const auto& run = result.device_runs[0];
             const double per_read =
                 static_cast<double>(run.stage.candidates) /
-                static_cast<double>(run.reads);
+                static_cast<double>(run.stats.items);
             const double share =
                 static_cast<double>(run.stage.verify_ops) /
                 static_cast<double>(run.stats.total_ops);

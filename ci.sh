@@ -28,7 +28,8 @@
 #   shard         reference-sharding smoke: `repute index build
 #                 --shards 4 --jobs 4` -> `repute map --index x.rixm`
 #                 byte-compare against the monolithic index (single-end,
-#                 paired, static and dynamic schedules), the
+#                 paired, static and dynamic schedules, with and
+#                 without modeled transfers), the
 #                 parallel-build speedup gate (check_bench --only-shard,
 #                 >=1.5x at --jobs 4 on multi-core machines, recorded in
 #                 BENCH_shard.json); the shard tests run under TSan in
@@ -345,6 +346,16 @@ PY
          --out "$SHARD_TMP/shard_dyn.sam"
     cmp "$SHARD_TMP/mono_dyn.sam" "$SHARD_TMP/shard_dyn.sam"
     echo "sharded single-end SAM byte-identical (dynamic trio)"
+    # Modeled transfers: two buffer sets per device and the shard-image
+    # restage chain, through both schedules.
+    "$R" map --index "$SHARD_TMP/ref.rixm" --reads "$SHARD_TMP/reads.fq" \
+         --xfer-gbps 6 --out "$SHARD_TMP/shard_xfer.sam"
+    cmp "$SHARD_TMP/mono.sam" "$SHARD_TMP/shard_xfer.sam"
+    "$R" map --index "$SHARD_TMP/ref.rixm" --reads "$SHARD_TMP/reads.fq" \
+         --devices i7-2600,gtx590-0,gtx590-1 --schedule dynamic \
+         --xfer-gbps 6 --out "$SHARD_TMP/shard_dyn_xfer.sam"
+    cmp "$SHARD_TMP/mono_dyn.sam" "$SHARD_TMP/shard_dyn_xfer.sam"
+    echo "sharded single-end SAM byte-identical with modeled transfers"
     # Paired-end with rescue.
     "$R" map --index "$SHARD_TMP/mono.rix" --reads "$SHARD_TMP/r1.fq" \
          --reads2 "$SHARD_TMP/r2.fq" --out "$SHARD_TMP/mono_pe.sam"

@@ -68,8 +68,8 @@ int main(int argc, char** argv) {
 
     for (const auto& run : all_result.device_runs) {
         std::printf("  %-10s %6zu reads  %.4f s  (util %.2f)\n",
-                    run.device_name.c_str(), run.reads, run.stats.seconds,
-                    run.stats.utilization);
+                    run.device_name.c_str(), run.stats.items,
+                    run.stats.seconds, run.stats.utilization);
     }
 
     // Auto-tuned split: probe each device on a read slice and solve for

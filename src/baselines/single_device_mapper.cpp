@@ -54,7 +54,6 @@ core::MapResult SingleDeviceMapper::map(const genomics::ReadBatch& batch,
 
     core::DeviceRun run;
     run.device_name = device_->name();
-    run.reads = batch.size();
     run.stats = stats;
     run.power_scale = power_scale_;
     result.device_runs.push_back(std::move(run));

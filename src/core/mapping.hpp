@@ -34,7 +34,8 @@ struct StageTotals; // kernels.hpp
 /// Per-device execution record attached to a map run.
 struct DeviceRun {
     std::string device_name;
-    std::size_t reads = 0;
+    /// Aggregate over the device's kernel launches; `stats.items` counts
+    /// (read, shard) work items, i.e. reads for a monolithic index.
     ocl::LaunchStats stats;
     double power_scale = 1.0;
     /// Per-stage op breakdown (filtration / locate / verify) — filled by

@@ -55,7 +55,7 @@ std::string format_map_report(const genomics::ReadBatch& batch,
 
     for (const auto& run : result.device_runs) {
         appendf(out, "device %-12s %7zu reads  %.4f s  util %.2f",
-                run.device_name.c_str(), run.reads, run.stats.seconds,
+                run.device_name.c_str(), run.stats.items, run.stats.seconds,
                 run.stats.utilization);
         const auto total = run.stats.total_ops;
         if (total > 0 && run.stage.total_ops() > 0) {

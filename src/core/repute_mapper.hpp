@@ -18,13 +18,21 @@
 // straight into the result: no per-shard slots, no coordinate shift, no
 // merge and no shard.* metrics. With K shards every read is mapped
 // against every shard and the per-shard lists are merged back into the
-// monolithic result. Two schedules drive the launches:
-//   - StaticSplit: one contiguous read slice per device; the device
-//     walks the shards in order, restaging its one resident image
-//     buffer between shards, double-buffering read chunks within one;
+// monolithic result.
+//
+// Every device runs one launch chain, a lane private to the .cpp: it
+// holds one resident image buffer (one shard at a time, restaged only
+// on a shard switch) and one or two read/output buffer sets, and runs
+// each launch as a stage -> kernel -> drain event triple, double-
+// buffered over modeled transfers. Two schedules decide what each lane
+// launches:
+//   - StaticSplit: one contiguous read slice per device, walked
+//     shard-major and settled once every device has been enqueued;
 //   - Dynamic: (shard, read) flattened into one K x reads unit space for
-//     the work-stealing ChunkScheduler, each device keeping its current
-//     shard resident across chunks.
+//     the work-stealing ChunkScheduler; its runner launches and settles
+//     each chunk's per-shard segments, so a fault reaches the retry
+//     path, and each lane keeps its current shard resident across
+//     chunks.
 //
 // The same host logic with the heuristic seeder is CORAL (the OpenCL
 // predecessor REPUTE is compared against), so the class is parameterized
@@ -63,8 +71,6 @@ enum class ScheduleMode {
 
 struct HeterogeneousMapperConfig {
     KernelConfig kernel;
-    /// Wall power the mapper draws relative to device calibration.
-    double power_scale = 1.0;
     ScheduleMode schedule = ScheduleMode::StaticSplit;
     /// Chunking/retry knobs for ScheduleMode::Dynamic.
     SchedulerConfig scheduler;
@@ -119,9 +125,6 @@ public:
                   std::uint32_t delta) override;
 
     std::string_view name() const noexcept override { return name_; }
-    double power_scale() const noexcept override {
-        return config_.power_scale;
-    }
 
     const filter::Seeder& seeder() const noexcept { return *seeder_; }
     const HeterogeneousMapperConfig& config() const noexcept {
@@ -136,29 +139,13 @@ public:
     std::uint64_t max_image_bytes() const noexcept;
 
 private:
-    /// Per-unit kernel outputs and stage totals, shard-major:
-    /// unit = shard * reads + read.
-    using UnitMappings = std::span<std::vector<ReadMapping>>;
-    using UnitStages = std::span<StageTotals>;
+    struct Job;  ///< one map() call: batch, delta, per-unit outputs
+    class Lane;  ///< one device's stage -> kernel -> drain launch chain
 
-    /// Largest chunk of reads whose buffers fit one device.
-    struct ChunkCeiling {
-        std::uint64_t reads;
-        std::size_t buffer_sets;
-    };
-    ChunkCeiling chunk_ceiling(const ocl::Device& device,
-                               std::uint64_t read_bytes,
-                               std::uint64_t out_bytes_per_read) const;
-
-    void map_static(const genomics::ReadBatch& batch, std::uint32_t delta,
-                    UnitMappings slots, UnitStages unit_stages,
-                    MapResult& result);
-    void map_dynamic(const genomics::ReadBatch& batch, std::uint32_t delta,
-                     UnitMappings slots, UnitStages unit_stages,
-                     MapResult& result);
+    void map_static(const Job& job, MapResult& result);
+    void map_dynamic(const Job& job, MapResult& result);
     void validate_overhangs(const genomics::ReadBatch& batch,
                             std::uint32_t delta) const;
-    KernelConfig shard_kernel(std::size_t shard) const;
 
     std::string name_;
     std::vector<ShardView> shards_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <mutex>
@@ -11,6 +12,48 @@
 #include "obs/trace.hpp"
 
 namespace repute::core {
+
+namespace {
+
+/// Share of a device's warm-start slice committed as its one leading
+/// chunk; the rest is cut into ~kBalanceChunksPerDevice chunks that
+/// stealing can rebalance.
+constexpr double kWarmStartCommit = 0.5;
+constexpr std::size_t kBalanceChunksPerDevice = 6;
+
+std::size_t floor_share(std::size_t total, double fraction) {
+    return static_cast<std::size_t>(static_cast<double>(total) * fraction);
+}
+
+/// How the plan cuts a `share`-item slice: the committed leading chunk
+/// (at most `lead_cap` items) and the balance-chunk size of the rest.
+struct SliceCut {
+    std::size_t lead;
+    std::size_t grain;
+};
+
+SliceCut cut_slice(std::size_t share, std::size_t lead_cap) {
+    const std::size_t lead = std::min(
+        lead_cap, static_cast<std::size_t>(kWarmStartCommit *
+                                           static_cast<double>(share)));
+    const std::size_t rest = share - lead;
+    return {lead, std::max<std::size_t>(1, (rest + kBalanceChunksPerDevice -
+                                            1) / kBalanceChunksPerDevice)};
+}
+
+} // namespace
+
+std::vector<std::size_t> split_proportional(
+    std::size_t total, std::span<const double> fractions) {
+    std::vector<std::size_t> counts(fractions.size(), 0);
+    std::size_t assigned = 0;
+    for (std::size_t i = 0; i + 1 < counts.size(); ++i) {
+        counts[i] = floor_share(total, fractions[i]);
+        assigned += counts[i];
+    }
+    counts.back() = total - assigned;
+    return counts;
+}
 
 double ScheduleStats::makespan_seconds() const noexcept {
     double makespan = 0.0;
@@ -55,16 +98,9 @@ std::vector<ChunkRecord> ChunkScheduler::plan(
     if (total_items == 0) return chunks;
 
     // Contiguous per-device ranges proportional to the warm start (the
-    // same arithmetic as the static split, so the two modes cover the
+    // same split as the static schedule, so the two modes cover the
     // read set identically and differ only in commitment).
-    std::vector<std::size_t> counts(devices_.size(), 0);
-    std::size_t assigned = 0;
-    for (std::size_t d = 0; d + 1 < devices_.size(); ++d) {
-        counts[d] = static_cast<std::size_t>(
-            static_cast<double>(total_items) * warm_start_[d]);
-        assigned += counts[d];
-    }
-    counts.back() = total_items - assigned;
+    const auto counts = split_proportional(total_items, warm_start_);
 
     const std::size_t cap = config_.max_chunk_items == 0
                                 ? total_items
@@ -91,20 +127,10 @@ std::vector<ChunkRecord> ChunkScheduler::plan(
         if (config_.chunk_items > 0) {
             emit(d, base, end, config_.chunk_items);
         } else {
-            // One leading chunk carries the committed slice of the
-            // warm-start share; the rest is cut fine enough to steal.
-            const double commit =
-                std::clamp(config_.warm_start_commit, 0.0, 1.0);
-            const std::size_t lead = std::min<std::size_t>(
-                cap, static_cast<std::size_t>(
-                         commit * static_cast<double>(counts[d])));
-            if (lead > 0) emit(d, base, base + lead, lead);
-            const std::size_t rest = counts[d] - lead;
-            if (rest > 0) {
-                const std::size_t pieces =
-                    std::max<std::size_t>(1,
-                                          config_.balance_chunks_per_device);
-                emit(d, base + lead, end, (rest + pieces - 1) / pieces);
+            const SliceCut cut = cut_slice(counts[d], cap);
+            if (cut.lead > 0) emit(d, base, base + cut.lead, cut.lead);
+            if (base + cut.lead < end) {
+                emit(d, base + cut.lead, end, cut.grain);
             }
         }
         base = end;
@@ -124,27 +150,18 @@ ScheduleStats ChunkScheduler::run(std::size_t total_items,
     const std::vector<ChunkRecord> planned = plan(total_items);
 
     // Per-device steal grain: the balance-chunk size the plan would cut
-    // for this device. A thief takes at most its own grain from a
+    // for this device, from its floored share (the last device's too,
+    // not its remainder). A thief takes at most its own grain from a
     // victim's chunk (splitting the rest back onto the victim's queue),
     // so a slow device can never turn a fast device's chunk into tail
     // latency.
     std::vector<std::size_t> grain(devices_.size(), 1);
     for (std::size_t d = 0; d < devices_.size(); ++d) {
-        if (config_.chunk_items > 0) {
-            grain[d] = config_.chunk_items;
-        } else {
-            const auto share = static_cast<std::size_t>(
-                static_cast<double>(total_items) * warm_start_[d]);
-            const double commit =
-                std::clamp(config_.warm_start_commit, 0.0, 1.0);
-            const std::size_t rest =
-                share - static_cast<std::size_t>(
-                            commit * static_cast<double>(share));
-            const std::size_t pieces = std::max<std::size_t>(
-                1, config_.balance_chunks_per_device);
-            grain[d] = std::max<std::size_t>(
-                1, (rest + pieces - 1) / pieces);
-        }
+        grain[d] = config_.chunk_items > 0
+                       ? config_.chunk_items
+                       : cut_slice(floor_share(total_items, warm_start_[d]),
+                                   SIZE_MAX)
+                             .grain;
         if (config_.max_chunk_items > 0) {
             grain[d] = std::min(grain[d], config_.max_chunk_items);
         }
@@ -266,11 +283,9 @@ ScheduleStats ChunkScheduler::run(std::size_t total_items,
 
             lock.unlock();
             ocl::LaunchStats launch_stats;
-            bool ok = false;
             try {
                 launch_stats = runner(*devices_[d], chunk.begin,
                                       chunk.count);
-                ok = true;
             } catch (const ocl::OclError& e) {
                 lock.lock();
                 DeviceScheduleStats& pd = stats.per_device[d];
@@ -353,7 +368,6 @@ ScheduleStats ChunkScheduler::run(std::size_t total_items,
                 cv.notify_all();
                 break;
             }
-            (void)ok;
 
             lock.lock();
             DeviceScheduleStats& pd = stats.per_device[d];

@@ -3,7 +3,7 @@
 //
 // The paper's host program (and HeterogeneousMapper's default
 // StaticSplit schedule, for any shard plan) commits each device to one
-// contiguous slice of the read set up front;
+// contiguous slice of the read set up front (split_proportional below).
 // Fig. 3 shows how a mispredicted split turns straight into tail
 // latency, and a device failing mid-batch loses its slice outright.
 // This scheduler instead cuts the batch into chunks: each device's
@@ -22,6 +22,11 @@
 // order real hardware of those speeds would exhibit. Host threads still
 // overlap whenever clocks are close.
 //
+// The scheduler decides only which device runs which chunk, and when.
+// Running a chunk is the runner's job; HeterogeneousMapper's runner
+// sends it through the same per-device launch lane the static split
+// uses.
+//
 // Fault handling: a launch that throws OclError charges the dispatch
 // overhead, and the chunk is requeued on the least-loaded surviving
 // device with bounded retries. A device that fails several launches in
@@ -34,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,14 +47,18 @@
 
 namespace repute::core {
 
+/// Splits `total` items in proportion to `fractions` (normalized, at
+/// least one): floor(total * fraction) each, the last taking the
+/// remainder. The static split and the dynamic plan both cut with it.
+std::vector<std::size_t> split_proportional(
+    std::size_t total, std::span<const double> fractions);
+
 struct SchedulerConfig {
     /// Fixed chunk size override; 0 = plan from the warm-start shares:
-    /// each device leads with one chunk of `warm_start_commit` of its
-    /// predicted share, and the rest is cut into ~`balance_chunks_per_
-    /// device` smaller chunks that stealing can rebalance.
+    /// each device leads with one chunk of half its predicted share, and
+    /// the rest is cut into ~6 smaller chunks that stealing can
+    /// rebalance.
     std::size_t chunk_items = 0;
-    double warm_start_commit = 0.5;
-    std::size_t balance_chunks_per_device = 6;
     /// Ceiling on any chunk (callers derive it from the smallest device
     /// buffer budget so every chunk can run anywhere); 0 = unbounded.
     std::size_t max_chunk_items = 0;
@@ -126,7 +136,7 @@ public:
 
     /// The chunk list run() will start from (for tests and for callers
     /// sizing per-chunk buffers): planned sizes honour chunk_items /
-    /// warm_start_commit / max_chunk_items.
+    /// max_chunk_items.
     std::vector<ChunkRecord> plan(std::size_t total_items) const;
 
 private:

@@ -57,15 +57,6 @@ double settle_dependencies(std::vector<Event>& wait_list,
 
 } // namespace
 
-Event CommandQueue::enqueue(KernelLaunch launch) {
-    return enqueue(std::move(launch), {}, {});
-}
-
-Event CommandQueue::enqueue(KernelLaunch launch,
-                            std::vector<Event> wait_list) {
-    return enqueue(std::move(launch), std::move(wait_list), {});
-}
-
 Event CommandQueue::enqueue(KernelLaunch launch,
                             std::vector<Event> wait_list,
                             std::vector<Event> reuse_list) {

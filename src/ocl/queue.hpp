@@ -76,27 +76,24 @@ public:
     /// Asynchronous launch; kernels on one queue execute in order —
     /// each launch waits on the queue's previous event — while queues
     /// on different devices overlap.
-    Event enqueue(KernelLaunch launch);
-
-    /// Launch with an event wait-list (OpenCL clEnqueueNDRangeKernel
-    /// semantics): the kernel starts only after every event in
-    /// `wait_list` (plus the queue's previous event) completed — on the
+    ///
+    /// `wait_list` has OpenCL clEnqueueNDRangeKernel semantics: the
+    /// kernel starts only after every listed event completed — on the
     /// modeled clock too: the launch starts no earlier than the latest
     /// wait-list event end, and any gap forced on the compute timeline
     /// is LaunchStats::queue_wait_seconds. A failed dependency fails
     /// this event too.
-    Event enqueue(KernelLaunch launch, std::vector<Event> wait_list);
-
-    /// Like the wait-list overload, with a second, *ordering-only*
-    /// dependency list: the launch starts after every `reuse_list`
-    /// event settled, but a failed reuse dependency neither fails this
-    /// event nor contributes ready time (a failed launch never advanced
-    /// the modeled clock and never touched its buffers, so reusing its
-    /// buffer needs no wait). This is how double-buffered staging
-    /// chains "buffer free again" dependencies without letting one
-    /// injected kernel fault cascade through every later stage.
-    Event enqueue(KernelLaunch launch, std::vector<Event> wait_list,
-                  std::vector<Event> reuse_list);
+    ///
+    /// `reuse_list` is an *ordering-only* dependency list: the launch
+    /// starts after every listed event settled, but a failed reuse
+    /// dependency neither fails this event nor contributes ready time
+    /// (a failed launch never advanced the modeled clock and never
+    /// touched its buffers, so reusing its buffer needs no wait). This
+    /// is how double-buffered staging chains "buffer free again"
+    /// dependencies without letting one injected kernel fault cascade
+    /// through every later stage.
+    Event enqueue(KernelLaunch launch, std::vector<Event> wait_list = {},
+                  std::vector<Event> reuse_list = {});
 
     /// Asynchronously stages `bytes` host-to-device into `buffer` once
     /// every `wait_list` event completed (`reuse_list` as above). The

@@ -172,7 +172,7 @@ TEST_F(CoreTest, ReputeRecoversSimulatedOrigins) {
     EXPECT_GE(origin_recovery(result, 5), 0.99);
     EXPECT_GT(result.mapping_seconds, 0.0);
     ASSERT_EQ(result.device_runs.size(), 1u);
-    EXPECT_EQ(result.device_runs[0].reads, sim_->batch.size());
+    EXPECT_EQ(result.device_runs[0].stats.items, sim_->batch.size());
 }
 
 TEST_F(CoreTest, CoralRecoversSimulatedOrigins) {
@@ -208,7 +208,7 @@ TEST_F(CoreTest, MultiDeviceMatchesSingleDevice) {
         EXPECT_EQ(r1.per_read[i], r2.per_read[i]) << "read " << i;
     }
     ASSERT_EQ(r2.device_runs.size(), 2u);
-    EXPECT_EQ(r2.device_runs[0].reads + r2.device_runs[1].reads,
+    EXPECT_EQ(r2.device_runs[0].stats.items + r2.device_runs[1].stats.items,
               sim_->batch.size());
     // Task-parallel: total time is the max, not the sum.
     EXPECT_NEAR(r2.mapping_seconds,

@@ -212,7 +212,7 @@ TEST(EdgeSplit, MoreDevicesThanReads) {
     const auto result = mapper->map(batch, 3);
     EXPECT_FALSE(result.per_read[0].empty());
     std::size_t total = 0;
-    for (const auto& run : result.device_runs) total += run.reads;
+    for (const auto& run : result.device_runs) total += run.stats.items;
     EXPECT_EQ(total, 1u);
 }
 

@@ -114,7 +114,6 @@ TEST(ChunkPlan, HonoursFixedChunkSizeAndCap) {
 TEST(ChunkPlan, WarmStartCommitLeadsEachDeviceQueue) {
     Device a(profile("a", 4, 1e6)), b(profile("b", 4, 1e6));
     SchedulerConfig config;
-    config.warm_start_commit = 0.5;
     ChunkScheduler scheduler({&a, &b}, {0.5, 0.5}, config);
     const auto chunks = scheduler.plan(8000);
     // First chunk of each owner is the committed half of its share.
@@ -358,7 +357,7 @@ TEST_F(SchedulerMapperTest, DynamicMatchesStaticWithoutFaults) {
     EXPECT_GT(result.schedule->chunks, 0u);
     EXPECT_EQ(result.schedule->retries, 0u);
     std::size_t reads = 0;
-    for (const auto& run : result.device_runs) reads += run.reads;
+    for (const auto& run : result.device_runs) reads += run.stats.items;
     EXPECT_EQ(reads, sim_->batch.size());
 }
 

@@ -105,6 +105,22 @@ void expect_identical(const MapResult& a, const MapResult& b) {
     }
 }
 
+/// Each device's DeviceRun::transfer_seconds must account every modeled
+/// transfer the device made — image restages included — exactly once.
+void expect_transfers_accounted(const MapResult& result,
+                                std::vector<const ocl::Device*> devices) {
+    ASSERT_EQ(result.device_runs.size(), devices.size());
+    for (std::size_t d = 0; d < devices.size(); ++d) {
+        const auto xfer = devices[d]->transfer_stats();
+        const double expected = xfer.write_seconds + xfer.read_seconds;
+        ASSERT_GT(expected, 0.0);
+        EXPECT_EQ(result.device_runs[d].device_name, devices[d]->name());
+        EXPECT_NEAR(result.device_runs[d].transfer_seconds, expected,
+                    1e-9 * expected)
+            << devices[d]->name();
+    }
+}
+
 // Paths must be unique per process: ctest runs every TEST of a suite as
 // its own process, and suite-level fixtures (SetUpTestSuite) would
 // otherwise build and delete the same shard files concurrently.
@@ -546,9 +562,11 @@ TEST_F(ShardIdentityTest, StaticRunAccountsResidencyAndRestaging) {
     // chunks after the first are the residency hits being asserted.
     obs::TraceSession session;
     ocl::Device dev(cpu_profile("metrics-cpu", 1ULL << 20));
+    dev.set_transfer_spec({1e8, 0.0});
     auto sharded = core::make_sharded_repute(
         core::shard_views_of(*sharded_), {{&dev, 1.0}});
-    sharded->map(sim_->batch, 4);
+    const auto result = sharded->map(sim_->batch, 4);
+    expect_transfers_accounted(result, {&dev});
 
     const auto counters = session.registry().counter_values();
     // 4 shards on one device: every shard image staged once (no
@@ -563,13 +581,18 @@ TEST_F(ShardIdentityTest, DynamicAffinityKeepsResidentShards) {
     obs::TraceSession session;
     ocl::Device a(cpu_profile("aff-a"));
     ocl::Device b(cpu_profile("aff-b"));
+    a.set_transfer_spec({1e8, 0.0});
+    b.set_transfer_spec({1e8, 0.0});
     core::HeterogeneousMapperConfig config;
     config.schedule = core::ScheduleMode::Dynamic;
     config.scheduler.chunk_items = 32;
     auto sharded = core::make_sharded_repute(
         core::shard_views_of(*sharded_), {{&a, 1.0}, {&b, 1.0}},
         config);
-    sharded->map(sim_->batch, 4);
+    const auto result = sharded->map(sim_->batch, 4);
+    // Every device restages at least once here; each restage's modeled
+    // seconds must reach its DeviceRun, not only the last one's.
+    expect_transfers_accounted(result, {&a, &b});
 
     const auto counters = session.registry().counter_values();
     // Small chunks over 4 shards x 500 reads: most launches must find

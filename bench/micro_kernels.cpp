@@ -4,6 +4,7 @@
 //   * filtration ablation: uniform vs heuristic (CORAL) vs full OSS vs
 //     REPUTE's memory-optimized DP — time AND produced candidate count;
 //   * verification ablation: Myers bit-vector vs banded DP vs full DP;
+//   * CIGAR annotation: the banded traceback SAM output pays per mapping;
 //   * index primitives: exact backward search, locate, approximate
 //     search tree growth with the error budget (the Yara cost driver);
 //   * suffix-array construction.
@@ -17,6 +18,7 @@
 #include "align/myers.hpp"
 #include "align/myers_simd.hpp"
 #include "align/prefilter.hpp"
+#include "core/cigar.hpp"
 #include "filter/candidates.hpp"
 #include "filter/frequency_scanner.hpp"
 #include "filter/heuristic_seeder.hpp"
@@ -130,6 +132,34 @@ void BM_Verify_FullDp(benchmark::State& state) {
 BENCHMARK(BM_Verify_Myers);
 BENCHMARK(BM_Verify_BandedDp);
 BENCHMARK(BM_Verify_FullDp);
+
+// ---------------------------------------------------- CIGAR annotation
+
+/// annotate_mapping on simulated reads at their planted origins (both
+/// strands, up to delta edits): what SAM output pays per emitted
+/// mapping. Args: read length, delta.
+void BM_Cigar_Annotate(benchmark::State& state) {
+    const auto& w = workload();
+    const auto delta = static_cast<std::uint32_t>(state.range(1));
+    genomics::ReadSimConfig rconfig;
+    rconfig.n_reads = 256;
+    rconfig.read_length = static_cast<std::size_t>(state.range(0));
+    rconfig.max_errors = delta;
+    rconfig.seed = 9;
+    const auto sim = genomics::simulate_reads(w.reference, rconfig);
+    std::vector<core::ReadMapping> mappings(sim.batch.size());
+    for (std::size_t r = 0; r < mappings.size(); ++r) {
+        mappings[r].position = sim.origins[r].position;
+        mappings[r].strand = sim.origins[r].strand;
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const std::size_t r = i++ % mappings.size();
+        benchmark::DoNotOptimize(core::annotate_mapping(
+            w.reference, sim.batch.reads[r], mappings[r], delta));
+    }
+}
+BENCHMARK(BM_Cigar_Annotate)->Args({100, 5})->Args({150, 7});
 
 // ---------------------------------------------- verification funnel
 

@@ -13,7 +13,8 @@
 #                 mapper executor (test_core, test_shard)
 #   asan          AddressSanitizer build of the index/filter hot paths
 #                 (rank-block and scratch-reuse pointer arithmetic), the
-#                 verification funnel and the SIMD differential harness
+#                 verification funnel, the SIMD differential harness
+#                 and the banded CIGAR traceback
 #   ubsan         UndefinedBehaviorSanitizer build of the alignment
 #                 kernels, funnel and SIMD differential harness
 #                 (shift/overflow-dense bit-vector code)
@@ -158,12 +159,12 @@ if has_tier tsan; then
 fi
 
 if has_tier asan; then
-    echo "== tier 2: AddressSanitizer (index layout, filtration, funnel) =="
+    echo "== tier 2: AddressSanitizer (index layout, filtration, funnel, CIGAR) =="
     cmake -B build-asan -S . -DREPUTE_SANITIZE=address \
           -DCMAKE_BUILD_TYPE=RelWithDebInfo "${LAUNCHER[@]}"
     cmake --build build-asan -j "$JOBS" \
           --target test_index test_filter test_funnel test_myers_simd \
-          test_rix
+          test_rix test_align test_cigar
     ./build-asan/tests/test_index
     ./build-asan/tests/test_filter
     # .rix round trip + corrupt-container rejection under ASan: the
@@ -177,6 +178,11 @@ if has_tier asan; then
     # Lane-batched Myers differential harness: the column-major staging
     # transpose and per-lane arena pointers under ASan.
     ./build-asan/tests/test_myers_simd
+    # Banded CIGAR traceback against the full-table oracle: the band's
+    # rows index diagonals at negative offsets from the main one, and
+    # the clipped windows at the reference end sit right at its edges.
+    ./build-asan/tests/test_align
+    ./build-asan/tests/test_cigar
 fi
 
 if has_tier ubsan; then

@@ -1,7 +1,6 @@
 #include "align/edit_distance.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 namespace repute::align {
@@ -124,69 +123,122 @@ std::uint32_t banded_semiglobal_distance(
     return best;
 }
 
+namespace {
+
+/// Per-thread DP rows and traceback ops for `semiglobal_align`, reused
+/// across calls (the same warm-scratch idiom as core::KernelScratch):
+/// after a thread's first alignment of a given size it allocates only
+/// the returned CIGAR.
+struct AlignScratch {
+    std::vector<std::uint32_t> table;
+    std::string ops;
+};
+
+} // namespace
+
 std::optional<SemiGlobalAlignment> semiglobal_align(
     std::span<const std::uint8_t> pattern,
     std::span<const std::uint8_t> text, std::uint32_t max_distance) {
     const std::size_t m = pattern.size();
     const std::size_t t = text.size();
-    // Full table for traceback: D[(m+1) x (t+1)], row-major.
-    std::vector<std::uint32_t> d((m + 1) * (t + 1));
-    auto at = [&](std::size_t i, std::size_t j) -> std::uint32_t& {
-        return d[i * (t + 1) + j];
+    // No distance exceeds m, so a larger budget bands nothing more.
+    const std::size_t delta = std::min<std::size_t>(max_distance, m);
+    // Every end column costs at least m - t: too short for the budget.
+    if (m > t + delta) return std::nullopt;
+
+    // Band: diagonals k = j - i in [-delta, t - m + delta]. A path of
+    // cost <= delta from row 0 to row m never leaves it, so every cell on
+    // an optimal path holds its full-table value, and any other cell
+    // holds its full-table value or something > delta; the argmin and
+    // the traceback below therefore pick exactly what the full table
+    // would (DESIGN.md §5i). Cell (i, j) lives at column
+    // c = j - i + delta + 1 of row i. The recurrence runs on at most
+    // `width` columns per row; columns outside the text or the band
+    // hold `far` (> delta).
+    const std::size_t width = t + 2 * delta + 1 - m;
+    const std::size_t stride = width + 2;
+    const auto far = static_cast<std::uint32_t>(delta + 1);
+    thread_local AlignScratch scratch;
+    auto& table = scratch.table;
+    table.resize((m + 1) * stride);
+    auto row = [&](std::size_t i) { return table.data() + i * stride; };
+    // Columns of row i whose text column j lies in [0, t].
+    auto first_col = [&](std::size_t i) {
+        return (i > delta ? i - delta : 0) + delta + 1 - i;
     };
-    for (std::size_t j = 0; j <= t; ++j) at(0, j) = 0;
-    for (std::size_t i = 1; i <= m; ++i) {
-        at(i, 0) = static_cast<std::uint32_t>(i);
-    }
-    for (std::size_t i = 1; i <= m; ++i) {
-        for (std::size_t j = 1; j <= t; ++j) {
-            at(i, j) = std::min(
-                {at(i - 1, j) + 1, at(i, j - 1) + 1,
-                 at(i - 1, j - 1) +
-                     (pattern[i - 1] == text[j - 1] ? 0u : 1u)});
+    auto last_col = [&](std::size_t i) {
+        return std::min(t, i + t + delta - m) + delta + 1 - i;
+    };
+
+    for (std::size_t i = 0; i <= m; ++i) {
+        std::uint32_t* r = row(i);
+        const std::size_t lo = first_col(i);
+        const std::size_t hi = last_col(i);
+        std::fill(r, r + lo, far);
+        std::fill(r + hi + 1, r + stride, far);
+        if (i == 0) {
+            std::fill(r + lo, r + hi + 1, 0u); // free text prefix
+            continue;
+        }
+        const std::uint32_t* p = row(i - 1);
+        const std::uint8_t base = pattern[i - 1];
+        std::size_t c = lo;
+        if (i <= delta) r[c++] = static_cast<std::uint32_t>(i); // j == 0
+        // Text column j - 1 of column c: j = c + i - delta - 1. The left
+        // neighbour stays in a register, off the store-to-load path.
+        const std::uint8_t* tj = text.data() + (c + i) - delta - 2;
+        std::uint32_t left = r[c - 1];
+        for (; c <= hi; ++c, ++tj) {
+            const std::uint32_t diag = p[c] + (base != *tj ? 1u : 0u);
+            const std::uint32_t up = p[c + 1] + 1;
+            left = std::min(std::min(diag, up), left + 1);
+            r[c] = left;
         }
     }
 
-    std::size_t best_j = 0;
-    std::uint32_t best = std::numeric_limits<std::uint32_t>::max();
-    for (std::size_t j = 0; j <= t; ++j) {
-        if (at(m, j) < best) {
-            best = at(m, j);
-            best_j = j;
-        }
+    // First argmin of the last row, as the full table would pick it.
+    const std::uint32_t* last = row(m);
+    std::size_t best_c = first_col(m);
+    for (std::size_t c = best_c + 1, hi = last_col(m); c <= hi; ++c) {
+        if (last[c] < last[best_c]) best_c = c;
     }
-    if (best > max_distance) return std::nullopt;
+    const std::uint32_t best = last[best_c];
+    if (best > delta) return std::nullopt;
+    const std::size_t best_j = best_c + m - delta - 1;
 
     // Traceback, preferring diagonal moves for compact CIGARs.
-    std::string ops;
-    std::size_t i = m, j = best_j;
+    std::string& ops = scratch.ops;
+    ops.clear();
+    std::size_t i = m, j = best_j, c = best_c;
     while (i > 0) {
+        const std::uint32_t here = row(i)[c];
+        const std::uint32_t* p = row(i - 1);
         if (j > 0 &&
-            at(i, j) == at(i - 1, j - 1) +
-                            (pattern[i - 1] == text[j - 1] ? 0u : 1u)) {
+            here == p[c] + (pattern[i - 1] == text[j - 1] ? 0u : 1u)) {
             ops.push_back('M');
             --i;
             --j;
-        } else if (at(i, j) == at(i - 1, j) + 1) {
+        } else if (here == p[c + 1] + 1) {
             ops.push_back('I'); // pattern base consumed, none from text
             --i;
+            ++c;
         } else {
             ops.push_back('D'); // text base consumed, none from pattern
             --j;
+            --c;
         }
     }
-    std::reverse(ops.begin(), ops.end());
 
-    // Run-length encode into CIGAR.
+    // Run-length encode into CIGAR (ops were pushed end to start).
     SemiGlobalAlignment out;
     out.distance = best;
     out.text_start = static_cast<std::uint32_t>(j);
     out.text_end = static_cast<std::uint32_t>(best_j);
-    for (std::size_t k = 0; k < ops.size();) {
+    for (std::size_t k = ops.size(); k > 0;) {
         std::size_t run = k;
-        while (run < ops.size() && ops[run] == ops[k]) ++run;
-        out.cigar += std::to_string(run - k);
-        out.cigar.push_back(ops[k]);
+        while (run > 0 && ops[run - 1] == ops[k - 1]) --run;
+        out.cigar += std::to_string(k - run);
+        out.cigar.push_back(ops[k - 1]);
         k = run;
     }
     return out;

@@ -39,8 +39,13 @@ struct SemiGlobalAlignment {
     std::string cigar;            ///< M/I/D ops, pattern-relative
 };
 
-/// Full semi-global alignment with traceback. Returns std::nullopt when
-/// the best distance exceeds `max_distance`.
+/// Semi-global alignment with traceback, filling only the diagonals
+/// j - i in [-max_distance, |text| - |pattern| + max_distance]: at most
+/// (|p| + 1) * (|t| - |p| + 2 * max_distance + 1) cells, in per-thread
+/// scratch reused across calls. The result (distance, the first
+/// best-scoring end column, the diagonal-first traceback and so the
+/// CIGAR) is exactly the full-table alignment's. Returns std::nullopt
+/// when the best distance exceeds `max_distance`.
 std::optional<SemiGlobalAlignment> semiglobal_align(
     std::span<const std::uint8_t> pattern,
     std::span<const std::uint8_t> text, std::uint32_t max_distance);

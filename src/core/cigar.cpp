@@ -1,11 +1,25 @@
 #include "core/cigar.hpp"
 
 #include <algorithm>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "align/edit_distance.hpp"
 #include "util/packed_dna.hpp"
 
 namespace repute::core {
+
+namespace {
+
+/// Per-thread reverse complement and reference window, reused across
+/// mappings so a warm thread re-aligns without allocating buffers.
+struct AnnotateScratch {
+    std::vector<std::uint8_t> reverse;
+    std::vector<std::uint8_t> window;
+};
+
+} // namespace
 
 std::optional<AnnotatedMapping> annotate_mapping(
     const genomics::Reference& reference, const genomics::Read& read,
@@ -19,13 +33,17 @@ std::optional<AnnotatedMapping> annotate_mapping(
     const std::uint32_t win_len =
         std::min<std::uint32_t>(n + 2 * delta, text_len - win_lo);
 
-    const std::vector<std::uint8_t> pattern =
-        mapping.strand == genomics::Strand::Reverse
-            ? read.reverse_complement()
-            : read.codes;
-    const auto window = reference.sequence().extract(win_lo, win_len);
+    thread_local AnnotateScratch scratch;
+    std::span<const std::uint8_t> pattern = read.codes;
+    if (mapping.strand == genomics::Strand::Reverse) {
+        read.reverse_complement(scratch.reverse);
+        pattern = scratch.reverse;
+    }
+    scratch.window.resize(win_len);
+    reference.sequence().extract(win_lo, win_len, scratch.window.data());
 
-    const auto alignment = align::semiglobal_align(pattern, window, delta);
+    auto alignment =
+        align::semiglobal_align(pattern, scratch.window, delta);
     if (!alignment.has_value()) return std::nullopt;
 
     AnnotatedMapping out;
@@ -33,7 +51,7 @@ std::optional<AnnotatedMapping> annotate_mapping(
     out.mapping.edit_distance =
         static_cast<std::uint16_t>(alignment->distance);
     out.precise_position = win_lo + alignment->text_start;
-    out.cigar = alignment->cigar;
+    out.cigar = std::move(alignment->cigar);
     return out;
 }
 

@@ -4,11 +4,12 @@
 //
 // The mapping kernel reports candidate-diagonal positions and edit
 // distances only (cheap, GPU-friendly). This host-side pass re-aligns
-// each reported mapping with the full-traceback DP to recover the
+// each reported mapping with a delta-banded traceback DP to recover the
 // precise alignment start and the CIGAR string, upgrading the SAM-lite
 // output (pipeline::SamEmitter) to spec-level records. Cost is
-// O(n * (n + 2*delta)) per mapping, paid only for the mappings actually
-// emitted.
+// O(n * delta) per mapping — (n + 1) * (4*delta + 1) DP cells over the
+// n + 2*delta reference window — paid only for the mappings actually
+// emitted, with no per-mapping allocation beyond the CIGAR string.
 
 #include <optional>
 #include <string>

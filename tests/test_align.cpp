@@ -3,12 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "align/edit_distance.hpp"
 #include "align/myers.hpp"
+#include "full_table_align.hpp"
 #include "util/packed_dna.hpp"
 #include "util/prng.hpp"
 
@@ -19,6 +21,7 @@ using repute::align::levenshtein;
 using repute::align::MyersMatcher;
 using repute::align::semiglobal_align;
 using repute::align::semiglobal_distance;
+using repute::oracle::full_table_semiglobal_align;
 using repute::util::Xoshiro256;
 
 std::vector<std::uint8_t> codes(const std::string& s) {
@@ -29,25 +32,29 @@ std::vector<std::uint8_t> codes(const std::string& s) {
     return out;
 }
 
-std::vector<std::uint8_t> random_codes(Xoshiro256& rng, std::size_t n) {
+/// Random codes over the first `alphabet` letters (2 makes ties common).
+std::vector<std::uint8_t> random_codes(Xoshiro256& rng, std::size_t n,
+                                       std::uint32_t alphabet = 4) {
     std::vector<std::uint8_t> out(n);
-    for (auto& c : out) c = static_cast<std::uint8_t>(rng.bounded(4));
+    for (auto& c : out) c = static_cast<std::uint8_t>(rng.bounded(alphabet));
     return out;
 }
 
-/// Applies up to `edits` random edits to a copy of `base`.
+/// Applies up to `edits` random substitutions and indels to a copy of
+/// `base`, staying inside the first `alphabet` letters.
 std::vector<std::uint8_t> mutate(Xoshiro256& rng,
                                  std::vector<std::uint8_t> base,
-                                 std::uint32_t edits) {
+                                 std::uint32_t edits,
+                                 std::uint32_t alphabet = 4) {
     for (std::uint32_t e = 0; e < edits && !base.empty(); ++e) {
         const auto kind = rng.bounded(3);
         const std::size_t pos = rng.bounded(base.size());
         if (kind == 0) {
-            base[pos] =
-                static_cast<std::uint8_t>((base[pos] + 1 + rng.bounded(3)) & 3);
+            base[pos] = static_cast<std::uint8_t>(
+                (base[pos] + 1 + rng.bounded(alphabet - 1)) % alphabet);
         } else if (kind == 1) {
             base.insert(base.begin() + static_cast<std::ptrdiff_t>(pos),
-                        static_cast<std::uint8_t>(rng.bounded(4)));
+                        static_cast<std::uint8_t>(rng.bounded(alphabet)));
         } else {
             base.erase(base.begin() + static_cast<std::ptrdiff_t>(pos));
         }
@@ -135,6 +142,122 @@ TEST(SemiGlobalAlign, CigarConsumesWholePattern) {
         EXPECT_EQ(consumed, p.size()) << "cigar " << result->cigar;
         EXPECT_EQ(result->distance, semiglobal_distance(p, t));
     }
+}
+
+/// Checks the banded aligner against the full-table oracle; returns
+/// whether the oracle aligned within `max_distance`.
+bool expect_same_alignment(std::span<const std::uint8_t> p,
+                           std::span<const std::uint8_t> t,
+                           std::uint32_t max_distance, int trial) {
+    const auto banded = semiglobal_align(p, t, max_distance);
+    const auto full = full_table_semiglobal_align(p, t, max_distance);
+    const auto where = ::testing::Message()
+                       << "trial " << trial << " m=" << p.size()
+                       << " t=" << t.size() << " delta=" << max_distance;
+    EXPECT_EQ(banded.has_value(), full.has_value()) << where;
+    if (!banded.has_value() || !full.has_value()) return full.has_value();
+    EXPECT_EQ(banded->distance, full->distance) << where;
+    EXPECT_EQ(banded->text_start, full->text_start) << where;
+    EXPECT_EQ(banded->text_end, full->text_end) << where;
+    EXPECT_EQ(banded->cigar, full->cigar) << where;
+    return true;
+}
+
+TEST(SemiGlobalAlign, BandedMatchesFullTableOracle) {
+    // The shapes annotate_mapping produces (a read in a window of
+    // n + 2*delta reference bases, clipped at the reference end) and the
+    // edges around them: delta 0, delta >= m, short and empty texts.
+    Xoshiro256 rng(1701);
+    std::size_t aligned = 0;
+    constexpr int kTrials = 120'000;
+    for (int trial = 0; trial < kTrials; ++trial) {
+        const std::uint32_t alphabet = rng.chance(0.5) ? 2 : 4;
+        const std::size_t m = rng.bounded(121);
+        const auto p = random_codes(rng, m, alphabet);
+        std::uint32_t delta = static_cast<std::uint32_t>(rng.bounded(9));
+        if (rng.chance(0.05)) {
+            delta = static_cast<std::uint32_t>(m + rng.bounded(4));
+        }
+        std::vector<std::uint8_t> t;
+        switch (rng.bounded(4)) {
+        case 0: // planted: flank + pattern with edits + flank
+        case 1: {
+            t = random_codes(rng, rng.bounded(delta + 3), alphabet);
+            const auto core = mutate(
+                rng, p, static_cast<std::uint32_t>(rng.bounded(delta + 2)),
+                alphabet);
+            t.insert(t.end(), core.begin(), core.end());
+            const auto right =
+                random_codes(rng, rng.bounded(delta + 3), alphabet);
+            t.insert(t.end(), right.begin(), right.end());
+            break;
+        }
+        case 2: // unrelated text up to the full window length
+            t = random_codes(rng, rng.bounded(m + 2 * delta + 2), alphabet);
+            break;
+        default: { // reference-end clip: a planted window cut short
+            t = mutate(rng, p, static_cast<std::uint32_t>(rng.bounded(3)),
+                       alphabet);
+            t.resize(rng.bounded(t.size() + 1));
+            break;
+        }
+        }
+        if (expect_same_alignment(p, t, delta, trial)) ++aligned;
+        if (::testing::Test::HasFailure()) return; // first mismatch only
+    }
+    // Both outcomes must be well represented for the sweep to mean much.
+    EXPECT_GT(aligned, kTrials / 10);
+    EXPECT_LT(aligned, kTrials - kTrials / 10);
+}
+
+TEST(SemiGlobalAlign, BandEdgeDiagonalsHoldInsertionRuns) {
+    // Cost-delta alignments that run along the band's outer diagonals:
+    // delta leading insertions then matches from text column 0 (k =
+    // -delta), or matches up to the last text column then delta trailing
+    // insertions (k = t - m + delta). A band one diagonal narrower on
+    // either side loses them.
+    Xoshiro256 rng(404);
+    for (int trial = 0; trial < 200; ++trial) {
+        const std::uint32_t delta = 1 + static_cast<std::uint32_t>(
+                                            rng.bounded(8));
+        const std::size_t m = delta + 1 + rng.bounded(140);
+        const auto text = random_codes(rng, m + 2 * delta);
+        const auto extra = random_codes(rng, delta);
+        std::vector<std::uint8_t> lead(extra);
+        lead.insert(lead.end(), text.begin(),
+                    text.begin() + static_cast<std::ptrdiff_t>(m - delta));
+        std::vector<std::uint8_t> trail(
+            text.end() - static_cast<std::ptrdiff_t>(m - delta), text.end());
+        trail.insert(trail.end(), extra.begin(), extra.end());
+        EXPECT_TRUE(expect_same_alignment(lead, text, delta, trial));
+        EXPECT_TRUE(expect_same_alignment(trail, text, delta, trial));
+        if (::testing::Test::HasFailure()) return;
+    }
+}
+
+TEST(SemiGlobalAlign, BandedMatchesOracleOnEdgeShapes) {
+    Xoshiro256 rng(77);
+    const auto p = random_codes(rng, 40);
+    const std::vector<std::uint8_t> empty;
+    for (std::uint32_t delta : {0u, 1u, 5u, 39u, 40u, 41u, 1000u}) {
+        expect_same_alignment(p, empty, delta, -1);
+        expect_same_alignment(empty, p, delta, -2);
+        expect_same_alignment(empty, empty, delta, -3);
+        expect_same_alignment(p, p, delta, -4);
+        // Prefixes of the pattern: shorter than m - delta, than m, and
+        // so than m + 2*delta.
+        for (std::size_t len : {std::size_t{1}, std::size_t{10},
+                                std::size_t{35}, std::size_t{39}}) {
+            expect_same_alignment(
+                p, std::span<const std::uint8_t>(p).first(len), delta,
+                static_cast<int>(len));
+        }
+    }
+    // delta >= m never rejects: the worst case is all insertions.
+    const auto all_ins = semiglobal_align(p, empty, 40);
+    ASSERT_TRUE(all_ins.has_value());
+    EXPECT_EQ(all_ins->cigar, "40I");
+    EXPECT_FALSE(semiglobal_align(p, empty, 39).has_value());
 }
 
 // ----------------------------------------------------------- banded DP

@@ -3,13 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/cigar.hpp"
 #include "core/kernels.hpp"
 #include "core/repute_mapper.hpp"
 #include "filter/memopt_seeder.hpp"
+#include "full_table_align.hpp"
 #include "genomics/genome_sim.hpp"
 #include "genomics/multi_reference.hpp"
 #include "genomics/read_sim.hpp"
@@ -21,6 +25,7 @@
 namespace {
 
 using repute::core::annotate_mapping;
+using repute::core::AnnotatedMapping;
 using repute::core::KernelConfig;
 using repute::core::ReadMapping;
 using repute::core::StageTotals;
@@ -44,6 +49,34 @@ DeviceProfile test_profile() {
     p.private_memory_per_unit = 1 << 20;
     p.dispatch_overhead_seconds = 0.0;
     return p;
+}
+
+/// annotate_mapping's window and strand handling over the full-table
+/// oracle aligner: the reference output the banded aligner must match.
+std::optional<AnnotatedMapping>
+oracle_annotate(const Reference& reference, const repute::genomics::Read& read,
+                const ReadMapping& mapping, std::uint32_t delta) {
+    const auto n = static_cast<std::uint32_t>(read.length());
+    const auto text_len = static_cast<std::uint32_t>(reference.size());
+    const std::uint32_t win_lo =
+        mapping.position >= delta ? mapping.position - delta : 0;
+    if (win_lo >= text_len) return std::nullopt;
+    const std::uint32_t win_len =
+        std::min<std::uint32_t>(n + 2 * delta, text_len - win_lo);
+    const auto pattern = mapping.strand == Strand::Reverse
+                             ? read.reverse_complement()
+                             : read.codes;
+    const auto window = reference.sequence().extract(win_lo, win_len);
+    const auto alignment = repute::oracle::full_table_semiglobal_align(
+        pattern, window, delta);
+    if (!alignment.has_value()) return std::nullopt;
+    AnnotatedMapping out;
+    out.mapping = mapping;
+    out.mapping.edit_distance =
+        static_cast<std::uint16_t>(alignment->distance);
+    out.precise_position = win_lo + alignment->text_start;
+    out.cigar = alignment->cigar;
+    return out;
 }
 
 class CigarTest : public ::testing::Test {
@@ -184,6 +217,78 @@ TEST_F(CigarTest, PrecisePositionMatchesOriginForCleanReads) {
         }
     }
     EXPECT_GT(checked, 0u);
+}
+
+TEST(CigarOracle, KernelMappingsOnRepeatGenomeMatchFullTable) {
+    // Half the genome is near-identical repeat copies, so reads carry
+    // many locations and many windows hold near-ties for the traceback
+    // to break.
+    GenomeSimConfig gconfig;
+    gconfig.length = 60'000;
+    gconfig.seed = 17;
+    gconfig.interspersed_fraction = 0.5;
+    gconfig.n_repeat_families = 3;
+    gconfig.repeat_divergence = 0.01;
+    const Reference reference = simulate_genome(gconfig);
+    const FmIndex fm(reference, 4);
+    Device dev(test_profile());
+    auto mapper = repute::core::make_repute(reference, fm, {{&dev, 1.0}});
+
+    for (const auto& [length, delta] :
+         {std::pair<std::size_t, std::uint32_t>{100, 5}, {150, 7}}) {
+        ReadSimConfig rconfig;
+        rconfig.n_reads = 150;
+        rconfig.read_length = length;
+        rconfig.max_errors = delta;
+        rconfig.seed = 23 + length;
+        const auto sim = simulate_reads(reference, rconfig);
+        const auto result = mapper->map(sim.batch, delta);
+
+        std::size_t per_strand[2] = {0, 0};
+        std::size_t annotated_count = 0;
+        for (std::size_t r = 0; r < sim.batch.size(); ++r) {
+            const auto& read = sim.batch.reads[r];
+            for (const auto& m : result.per_read[r]) {
+                const auto banded =
+                    annotate_mapping(reference, read, m, delta);
+                const auto full = oracle_annotate(reference, read, m, delta);
+                ASSERT_EQ(banded.has_value(), full.has_value())
+                    << "read " << r << " pos " << m.position;
+                ++per_strand[m.strand == Strand::Reverse ? 1 : 0];
+                if (!full.has_value()) continue;
+                ++annotated_count;
+                EXPECT_EQ(banded->cigar, full->cigar) << "read " << r;
+                EXPECT_EQ(banded->precise_position, full->precise_position)
+                    << "read " << r;
+                EXPECT_EQ(banded->mapping.edit_distance,
+                          full->mapping.edit_distance)
+                    << "read " << r;
+            }
+        }
+        EXPECT_GT(per_strand[0], sim.batch.size() / 4) << "n=" << length;
+        EXPECT_GT(per_strand[1], sim.batch.size() / 4) << "n=" << length;
+        EXPECT_GT(annotated_count, 2 * sim.batch.size()) << "n=" << length;
+
+        // Windows clipped by the reference end, on both strands.
+        for (std::uint32_t back = 1; back <= length + delta; back += 7) {
+            repute::genomics::Read read;
+            read.codes = reference.sequence().extract(
+                reference.size() - length, length);
+            ReadMapping m;
+            m.position = static_cast<std::uint32_t>(reference.size()) - back;
+            for (const auto strand : {Strand::Forward, Strand::Reverse}) {
+                m.strand = strand;
+                const auto banded =
+                    annotate_mapping(reference, read, m, delta);
+                const auto full = oracle_annotate(reference, read, m, delta);
+                ASSERT_EQ(banded.has_value(), full.has_value())
+                    << "back " << back;
+                if (!full.has_value()) continue;
+                EXPECT_EQ(banded->cigar, full->cigar) << "back " << back;
+                EXPECT_EQ(banded->precise_position, full->precise_position);
+            }
+        }
+    }
 }
 
 // ------------------------------------------------------- stage totals

@@ -7,8 +7,11 @@
 //   1. DP seed selection produces fewer candidates than greedy/naive
 //      partitions (quality);
 //   2. the bounded exploration space cuts the scratch footprint vs the
-//      full OSS at identical output (memory) — at the price of
-//      recomputed frequency scans (time).
+//      full OSS at identical output (memory), and scanning only the
+//      window's prefix ends, each once, cuts the FM work too (time).
+//
+// Exits non-zero when oss-full and repute-dp disagree on the candidate
+// count: their partitions must be identical.
 
 #include <cstdio>
 #include <memory>
@@ -42,6 +45,7 @@ int main(int argc, char** argv) {
                 "s_min", "extends/read", "cells/read", "cand/read",
                 "dedup/read", "scratch(B)");
 
+    bool agree = true;
     for (const std::uint32_t s_min : {12u, 16u, 20u}) {
         if ((delta + 1) * s_min > n) continue;
         std::vector<std::unique_ptr<filter::Seeder>> seeders;
@@ -52,6 +56,7 @@ int main(int argc, char** argv) {
         seeders.push_back(
             std::make_unique<filter::MemoryOptimizedSeeder>(s_min));
 
+        std::uint64_t oss_cands = 0;
         for (const auto& seeder : seeders) {
             std::uint64_t extends = 0, cells = 0, cands = 0, dedup = 0;
             for (const auto& read : reads) {
@@ -75,11 +80,21 @@ int main(int argc, char** argv) {
                         static_cast<double>(dedup) / count,
                         static_cast<unsigned long long>(
                             seeder->scratch_bound(n, delta)));
+            if (seeder->name() == "oss-full") oss_cands = cands;
+            if (seeder->name() == "repute-dp" && cands != oss_cands) {
+                std::fprintf(stderr,
+                             "ablation_filtration: repute-dp found %llu "
+                             "candidates, oss-full %llu (s_min %u)\n",
+                             static_cast<unsigned long long>(cands),
+                             static_cast<unsigned long long>(oss_cands),
+                             s_min);
+                agree = false;
+            }
         }
         std::printf("\n");
     }
     std::printf("note: oss-full and repute-dp must agree on cand/read "
                 "(identical partitions); repute-dp's scratch is the "
                 "paper's memory optimization.\n");
-    return 0;
+    return agree ? 0 : 1;
 }

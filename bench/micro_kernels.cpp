@@ -62,15 +62,31 @@ const MicroWorkload& workload() {
 
 // ------------------------------------------------- filtration ablation
 
+/// 150 bp reads for the paper's hardest cell (delta 7). There the
+/// exploration window E = 150 - 8 * s_min is wider than s_min for
+/// s_min <= 16, so consecutive iterations' windows overlap and the
+/// end-major DP shares scans between them; at (100, delta 5) with
+/// s_min >= 14 the windows do not overlap.
+const genomics::ReadBatch& reads150() {
+    static const genomics::SimulatedReads sim = [] {
+        genomics::ReadSimConfig rconfig;
+        rconfig.n_reads = 512;
+        rconfig.read_length = 150;
+        rconfig.max_errors = 7;
+        return genomics::simulate_reads(workload().reference, rconfig);
+    }();
+    return sim.batch;
+}
+
 template <typename SeederT>
-void bm_seeder(benchmark::State& state) {
+void bm_seeder(benchmark::State& state, const genomics::ReadBatch& batch,
+               std::uint32_t delta) {
     const auto& w = workload();
     const SeederT seeder(static_cast<std::uint32_t>(state.range(0)));
-    const std::uint32_t delta = 5;
     std::size_t i = 0;
     std::uint64_t candidates = 0, reads = 0;
     for (auto _ : state) {
-        const auto& read = w.reads.batch.reads[i++ % w.reads.batch.size()];
+        const auto& read = batch.reads[i++ % batch.size()];
         const auto plan = seeder.select(*w.fm, read.codes, delta);
         benchmark::DoNotOptimize(plan.total_candidates);
         candidates += plan.total_candidates;
@@ -81,21 +97,30 @@ void bm_seeder(benchmark::State& state) {
 }
 
 void BM_Seeder_Uniform(benchmark::State& state) {
-    bm_seeder<filter::UniformSeeder>(state);
+    bm_seeder<filter::UniformSeeder>(state, workload().reads.batch, 5);
 }
 void BM_Seeder_Heuristic(benchmark::State& state) {
-    bm_seeder<filter::HeuristicSeeder>(state);
+    bm_seeder<filter::HeuristicSeeder>(state, workload().reads.batch, 5);
 }
 void BM_Seeder_OssFull(benchmark::State& state) {
-    bm_seeder<filter::OptimalSeeder>(state);
+    bm_seeder<filter::OptimalSeeder>(state, workload().reads.batch, 5);
 }
 void BM_Seeder_ReputeDp(benchmark::State& state) {
-    bm_seeder<filter::MemoryOptimizedSeeder>(state);
+    bm_seeder<filter::MemoryOptimizedSeeder>(state, workload().reads.batch,
+                                             5);
+}
+void BM_Seeder_OssFull_n150d7(benchmark::State& state) {
+    bm_seeder<filter::OptimalSeeder>(state, reads150(), 7);
+}
+void BM_Seeder_ReputeDp_n150d7(benchmark::State& state) {
+    bm_seeder<filter::MemoryOptimizedSeeder>(state, reads150(), 7);
 }
 BENCHMARK(BM_Seeder_Uniform)->Arg(12);
 BENCHMARK(BM_Seeder_Heuristic)->Arg(12);
 BENCHMARK(BM_Seeder_OssFull)->Arg(12);
 BENCHMARK(BM_Seeder_ReputeDp)->Arg(10)->Arg(12)->Arg(14)->Arg(16);
+BENCHMARK(BM_Seeder_OssFull_n150d7)->Arg(14);
+BENCHMARK(BM_Seeder_ReputeDp_n150d7)->Arg(12)->Arg(14)->Arg(16);
 
 // ----------------------------------------------- verification ablation
 

@@ -100,7 +100,7 @@ if has_tier tier1; then
     cmake --build build -j "$JOBS"
     ctest --test-dir build --output-on-failure -j "$JOBS"
 
-    echo "== micro-benchmark smoke: kernels and verification funnel =="
+    echo "== micro-benchmark smoke: FM kernels, seeders and verification funnel =="
     # Minimal min_time: this only proves the benchmarks still run; the
     # bench tier does the regression comparison. (The installed
     # google-benchmark wants a plain double here, not a '0.01s' suffix.)
@@ -113,7 +113,7 @@ if has_tier tier1; then
     fi
     ./build/bench/micro_kernels --benchmark_min_time="$MIN_TIME" \
         --benchmark_repetitions="$REPS" \
-        --benchmark_filter='BM_Fm' >/dev/null
+        --benchmark_filter='BM_Fm|BM_Seeder' >/dev/null
     ./build/bench/micro_kernels --benchmark_min_time="$MIN_TIME" \
         --benchmark_repetitions="$REPS" \
         --benchmark_filter='BM_Verify_Myers|BM_Verify_MyersBanded|BM_Prefilter|BM_VerifyFunnel' \

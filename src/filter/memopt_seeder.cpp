@@ -23,70 +23,76 @@ void MemoryOptimizedSeeder::select(const index::FmIndex& fm,
     const auto n = static_cast<std::uint32_t>(read.size());
     const std::uint32_t n_seeds = delta + 1;
     const std::uint32_t e = exploration_space(n, delta, s_min_);
+    const std::uint32_t width = e + 1;
 
     plan.reset();
     FrequencyScanner scanner(fm, read);
 
-    // Window-sized DP rows: row[w] corresponds to prefix end
-    // p = x*s_min + w for the iteration currently indexed by x.
-    auto& prev = scratch.row_a;
-    auto& curr = scratch.row_b;
-    prev.assign(e + 1, kInf);
-    curr.assign(e + 1, kInf);
-    // dividers[(x-2)*(e+1) + w] = best divider d for (x, p).
+    // Window rows for iterations 1..delta: opt[(x-1)*width + w] holds
+    // Opt(x, p) for prefix end p = x*s_min + w. Iteration delta+1 needs
+    // only p = n, whose value backtracking never reads.
+    auto& opt = scratch.row_a;
+    opt.assign(static_cast<std::size_t>(delta) * width, kInf);
+    // dividers[(x-2)*width + w] = best divider d for (x, p).
     auto& dividers = scratch.dividers;
-    dividers.assign(static_cast<std::size_t>(delta) * (e + 1), 0);
-    // Scratch for one backward frequency scan (deepest possible scan is
-    // a full maximal seed: s_min + e bases).
+    dividers.assign(static_cast<std::size_t>(delta) * width, 0);
+    // One backward scan per prefix end; the deepest is a full maximal
+    // seed of s_min + e bases.
     auto& freqs = scratch.freqs;
     freqs.resize(s_min_ + e);
 
-    // Iteration 1: a single k-mer covering [0, p), p = s_min + w.
-    for (std::uint32_t w = 0; w <= e; ++w) {
-        const std::uint32_t p = s_min_ + w;
-        auto out = std::span<std::uint32_t>(freqs.data(), p);
-        scanner.suffix_frequencies(0, p, out, plan.fm_extends,
+    // End-major walk: each prefix end p is scanned once, down to the
+    // lowest divider any iteration whose window [x*s_min, x*s_min + e]
+    // holds p can use, and that one scan serves every such iteration.
+    // Opt(x-1, d) for d <= p - s_min was settled at an earlier end.
+    for (std::uint32_t p = s_min_; p <= n; ++p) {
+        const std::uint32_t x_top = p == n ? n_seeds : delta;
+        const std::uint32_t x_hi = std::min(x_top, p / s_min_);
+        const std::uint32_t x_lo =
+            p > s_min_ + e ? (p - e + s_min_ - 1) / s_min_ : 1;
+        if (x_lo > x_hi) continue;
+
+        // out[k] = freq(d_lo + k, p).
+        const std::uint32_t d_lo = (x_lo - 1) * s_min_;
+        auto out = std::span<std::uint32_t>(freqs.data(), p - d_lo);
+        scanner.suffix_frequencies(d_lo, p, out, plan.fm_extends,
                                    plan.qgram_jumps);
-        prev[w] = out[0]; // freq(0, p)
-        ++plan.dp_cells;
-    }
 
-    // Iterations x = 2..delta+1 (the paper's "delta iterations"): the
-    // 1st section is the first x-1 k-mers (solved, in `prev`), the 2nd
-    // section is the x-th k-mer read[d, p).
-    for (std::uint32_t x = 2; x <= n_seeds; ++x) {
-        const std::uint32_t d_min = (x - 1) * s_min_;
-        std::fill(curr.begin(), curr.end(), kInf);
-        for (std::uint32_t w = 0; w <= e; ++w) {
-            const std::uint32_t p = x * s_min_ + w;
-            // One backward scan yields freq(d, p) for all d down to
-            // d_min; out[k] = freq(d_min + k, p).
-            auto out = std::span<std::uint32_t>(freqs.data(), p - d_min);
-            scanner.suffix_frequencies(d_min, p, out, plan.fm_extends,
-                                       plan.qgram_jumps);
-
+        for (std::uint32_t x = x_lo; x <= x_hi; ++x) {
+            const std::uint32_t w = p - x * s_min_;
             std::uint32_t best = kInf;
-            std::uint16_t best_d = 0;
-            // d = d_min + w' with w' <= w (the 2nd section keeps length
-            // >= s_min). Scanning ascending keeps tie-breaks identical
-            // to OptimalSeeder.
-            for (std::uint32_t wp = 0; wp <= w; ++wp) {
+            if (x == 1) {
+                // A single k-mer covering [0, p).
+                best = out[0];
                 ++plan.dp_cells;
-                if (prev[wp] == kInf) continue;
-                const std::uint32_t d = d_min + wp;
-                const std::uint32_t total =
-                    sat_add(prev[wp], out[d - d_min]);
-                if (total < best) {
-                    best = total;
-                    best_d = static_cast<std::uint16_t>(d);
-                    if (best == 0) break;
+            } else {
+                // The 1st section is the first x-1 k-mers, the 2nd the
+                // x-th k-mer read[d, p) with d = d_min + w', w' <= w.
+                // Scanning ascending keeps tie-breaks identical to
+                // OptimalSeeder.
+                const std::uint32_t d_min = (x - 1) * s_min_;
+                const std::uint32_t* prev =
+                    opt.data() + static_cast<std::size_t>(x - 2) * width;
+                std::uint16_t best_d = 0;
+                for (std::uint32_t wp = 0; wp <= w; ++wp) {
+                    ++plan.dp_cells;
+                    if (prev[wp] == kInf) continue;
+                    const std::uint32_t d = d_min + wp;
+                    const std::uint32_t total =
+                        sat_add(prev[wp], out[d - d_lo]);
+                    if (total < best) {
+                        best = total;
+                        best_d = static_cast<std::uint16_t>(d);
+                        if (best == 0) break;
+                    }
                 }
+                dividers[static_cast<std::size_t>(x - 2) * width + w] =
+                    best_d;
             }
-            curr[w] = best;
-            dividers[static_cast<std::size_t>(x - 2) * (e + 1) + w] =
-                best_d;
+            if (x <= delta) {
+                opt[static_cast<std::size_t>(x - 1) * width + w] = best;
+            }
         }
-        std::swap(prev, curr);
     }
 
     // Backtracking (paper Fig. 2, bottom): recover dividers from the
@@ -97,7 +103,7 @@ void MemoryOptimizedSeeder::select(const index::FmIndex& fm,
     for (std::uint32_t x = n_seeds; x >= 2; --x) {
         const std::uint32_t w = p - x * s_min_;
         const std::uint16_t d =
-            dividers[static_cast<std::size_t>(x - 2) * (e + 1) + w];
+            dividers[static_cast<std::size_t>(x - 2) * width + w];
         boundaries[x - 1] = d;
         p = d;
     }
@@ -105,7 +111,7 @@ void MemoryOptimizedSeeder::select(const index::FmIndex& fm,
 
     plan_from_boundaries(fm, read, boundaries, plan);
     plan.scratch_bytes =
-        (prev.size() + curr.size() + freqs.size()) * sizeof(std::uint32_t) +
+        (opt.size() + freqs.size()) * sizeof(std::uint32_t) +
         dividers.size() * sizeof(std::uint16_t);
 }
 

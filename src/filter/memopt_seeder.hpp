@@ -5,13 +5,17 @@
 // with the DP confined to the feasible "exploration space" of
 // E + 1 = n - s_min*(delta+1) + 1 prefixes per iteration:
 //
-//   * iteration x (x = 2..delta+1) examines prefix ends
+//   * iteration x (x = 1..delta) examines prefix ends
 //     p in [x*s_min, x*s_min + E] only — every other prefix cannot be
-//     completed into delta+1 seeds of length >= s_min;
-//   * DP rows and the per-iteration divider records are window-sized
-//     (u16 cells for dividers — the paper's bit-width optimization);
-//   * k-mer frequencies are recomputed per iteration with short backward
-//     scans instead of being materialized into an n x Lmax table.
+//     completed into delta+1 seeds of length >= s_min — and the last
+//     iteration examines p = n alone, the only end backtracking reads;
+//   * the DP walks end-major: one backward frequency scan per prefix end
+//     (no n x Lmax frequency table), reaching down to the lowest divider
+//     any iteration whose window holds that end can use, and updating
+//     all of those iterations from it;
+//   * scratch is delta window rows of u32 costs, delta window rows of
+//     u16 dividers (the paper's bit-width optimization) and one scan
+//     buffer — O(delta * E), against the full OSS's O(n * Lmax).
 //
 // The trade-off surface the paper reports falls out directly: smaller
 // s_min => larger window => better partitions but more scratch memory
@@ -34,14 +38,15 @@ public:
 
     std::string_view name() const noexcept override { return "repute-dp"; }
 
-    /// Window-sized DP rows + per-iteration u16 dividers + one scan
-    /// buffer (the paper's bounded exploration space).
+    /// delta window rows of u32 costs and of u16 dividers, plus one
+    /// scan buffer of s_min + E frequencies (the paper's bounded
+    /// exploration space).
     std::uint64_t scratch_bound(std::size_t read_length,
                                 std::uint32_t delta) const override {
         const std::uint64_t e =
             exploration_space(read_length, delta, s_min_);
-        return (2 * (e + 1) + (s_min_ + e)) * 4 +
-               static_cast<std::uint64_t>(delta) * (e + 1) * 2;
+        const std::uint64_t cells = std::uint64_t{delta} * (e + 1);
+        return (cells + s_min_ + e) * 4 + cells * 2;
     }
 
     std::uint32_t s_min() const noexcept { return s_min_; }

@@ -59,7 +59,7 @@ struct SeedPlan {
 /// read-parameter bound) makes filtration allocation-free — the host-side
 /// analogue of the kernels' statically budgeted private memory.
 struct SeedScratch {
-    std::vector<std::uint32_t> row_a;      ///< DP row (prev)
+    std::vector<std::uint32_t> row_a;      ///< DP row (prev), or all DP rows
     std::vector<std::uint32_t> row_b;      ///< DP row (curr)
     std::vector<std::uint32_t> freqs;      ///< suffix-frequency scan output
     std::vector<std::uint32_t> freq_table; ///< OSS full frequency table

@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "filter/candidates.hpp"
 #include "filter/frequency_scanner.hpp"
@@ -57,6 +58,20 @@ protected:
                                                  std::size_t n) {
         const std::size_t pos = rng.bounded(reference_->size() - n);
         return reference_->sequence().extract(pos, n);
+    }
+
+    /// A reference read with `subs` random substitutions: k-mers that
+    /// cover one usually occur nowhere, so zero-frequency seeds (the
+    /// DP's `best == 0` exit) and cost ties both turn up.
+    static std::vector<std::uint8_t> mutated_read(Xoshiro256& rng,
+                                                  std::size_t n,
+                                                  std::uint32_t subs) {
+        auto read = sample_read(rng, n);
+        for (std::uint32_t k = 0; k < subs; ++k) {
+            auto& base = read[rng.bounded(n)];
+            base = static_cast<std::uint8_t>((base + 1 + rng.bounded(3)) & 3);
+        }
+        return read;
     }
 
     static void check_partition(const SeedPlan& plan, std::size_t n,
@@ -126,33 +141,84 @@ TEST_P(SeederContractTest, ScratchBoundIsPositive) {
     EXPECT_GT(seeder->scratch_bound(100, 5), 0u);
 }
 
+TEST_P(SeederContractTest, ScratchBytesWithinScratchBound) {
+    // scratch_bound sizes the kernel's static private memory
+    // (kernel_scratch_bytes), so no read may need more than it.
+    Xoshiro256 rng(200 + GetParam());
+    for (const std::size_t n : {100u, 125u, 150u}) {
+        for (std::uint32_t delta = 0; delta <= 7; ++delta) {
+            for (const std::uint32_t s_min : {10u, 12u, 14u, 16u, 20u}) {
+                if ((delta + 1) * s_min > n) continue;
+                const auto seeder = make_seeder(GetParam(), s_min);
+                const auto bound = seeder->scratch_bound(n, delta);
+                for (const std::uint32_t subs : {0u, 3u}) {
+                    const auto read = mutated_read(rng, n, subs);
+                    const auto plan = seeder->select(*fm_, read, delta);
+                    EXPECT_LE(plan.scratch_bytes, bound)
+                        << seeder->name() << " n=" << n
+                        << " delta=" << delta << " s_min=" << s_min;
+                }
+            }
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSeeders, SeederContractTest,
                          ::testing::Values(0, 1, 2, 3));
 
 // ------------------------------------ memory-optimized == full OSS
 
 TEST_F(FilterTest, MemoptMatchesFullOssOnRandomReads) {
-    Xoshiro256 rng(77);
+    struct Cell {
+        std::size_t n;
+        std::uint32_t delta;
+        std::uint32_t s_min;
+    };
+    std::vector<Cell> cells;
     for (const std::uint32_t s_min : {10u, 12u, 14u, 16u}) {
-        const OptimalSeeder full(s_min);
-        const MemoryOptimizedSeeder memopt(s_min);
-        for (const std::size_t n : {100u, 150u}) {
-            for (const std::uint32_t delta : {3u, 4u, 5u, 6u, 7u}) {
-                if ((delta + 1) * s_min > n) continue;
-                for (int trial = 0; trial < 8; ++trial) {
-                    const auto read = sample_read(rng, n);
-                    const auto a = full.select(*fm_, read, delta);
-                    const auto b = memopt.select(*fm_, read, delta);
-                    ASSERT_EQ(a.seeds.size(), b.seeds.size());
-                    for (std::size_t s = 0; s < a.seeds.size(); ++s) {
-                        EXPECT_EQ(a.seeds[s].start, b.seeds[s].start);
-                        EXPECT_EQ(a.seeds[s].length, b.seeds[s].length);
-                    }
-                    EXPECT_EQ(a.total_candidates, b.total_candidates);
-                }
+        for (const std::size_t n : {100u, 125u, 150u}) {
+            for (std::uint32_t delta = 0; delta <= 7; ++delta) {
+                if ((delta + 1) * s_min <= n) cells.push_back({n, delta, s_min});
             }
         }
     }
+    // E = n - (delta+1)*s_min: one window cell per iteration (E = 0), and
+    // windows narrower than a seed (0 < E < s_min) that leave ends no
+    // iteration examines.
+    cells.push_back({100, 4, 20});
+    cells.push_back({125, 4, 25});
+    cells.push_back({125, 7, 14});
+    cells.push_back({100, 3, 22});
+
+    Xoshiro256 rng(77);
+    std::uint64_t zero_seeds = 0;
+    for (const auto& [n, delta, s_min] : cells) {
+        const OptimalSeeder full(s_min);
+        const MemoryOptimizedSeeder memopt(s_min);
+        for (int trial = 0; trial < 12; ++trial) {
+            SCOPED_TRACE("n=" + std::to_string(n) + " delta=" +
+                         std::to_string(delta) + " s_min=" +
+                         std::to_string(s_min) + " trial " +
+                         std::to_string(trial));
+            const auto read =
+                mutated_read(rng, n, static_cast<std::uint32_t>(trial % 4));
+            const auto a = full.select(*fm_, read, delta);
+            const auto b = memopt.select(*fm_, read, delta);
+            ASSERT_EQ(a.seeds.size(), b.seeds.size());
+            for (std::size_t s = 0; s < a.seeds.size(); ++s) {
+                EXPECT_EQ(a.seeds[s].start, b.seeds[s].start);
+                EXPECT_EQ(a.seeds[s].length, b.seeds[s].length);
+                EXPECT_EQ(a.seeds[s].range, b.seeds[s].range);
+                if (b.seeds[s].range.empty()) ++zero_seeds;
+            }
+            EXPECT_EQ(a.total_candidates, b.total_candidates);
+            // Every memopt scan is a suffix of the OSS scan at the same
+            // end, and memopt scans a subset of the ends.
+            EXPECT_LE(b.fm_extends, a.fm_extends);
+            EXPECT_LE(b.qgram_jumps, a.qgram_jumps);
+        }
+    }
+    EXPECT_GT(zero_seeds, 0u);
 }
 
 TEST_F(FilterTest, MemoptUsesLessScratchThanFullOss) {

@@ -6,8 +6,27 @@
 #include <stdexcept>
 
 #include "core/cigar.hpp"
+#include "util/packed_dna.hpp"
 
 namespace repute::pipeline {
+
+namespace {
+
+/// SEQ as SAM §1.4 wants it: on a reverse-strand (0x10) record it is
+/// the read's reverse complement, so it reads along the forward strand
+/// like POS and the CIGAR.
+std::string sam_seq(const genomics::Read& read, genomics::Strand strand) {
+    if (strand == genomics::Strand::Forward) return read.to_string();
+    const std::size_t n = read.length();
+    std::string seq(n, '\0');
+    for (std::size_t i = 0; i < n; ++i) {
+        seq[i] = util::code_to_base(
+            util::complement_code(read.codes[n - 1 - i]));
+    }
+    return seq;
+}
+
+} // namespace
 
 SamEmitter::SamEmitter(std::ostream& out,
                        const genomics::MultiReference& multi,
@@ -52,7 +71,7 @@ void SamEmitter::emit_read(std::ostream& out,
         }
         genomics::SamRecord rec;
         rec.qname = read.name;
-        rec.seq = read.to_string();
+        rec.seq = sam_seq(read, m.strand);
         rec.edit_distance = m.edit_distance;
         if (m.strand == genomics::Strand::Reverse) {
             rec.flag |= genomics::SamRecord::kFlagReverse;
@@ -160,7 +179,8 @@ void SamEmitter::emit_pair(std::ostream& out, const genomics::Read& read1,
         const auto& mate = placed[1 - k];
         SamRecord rec;
         rec.qname = reads[k]->name;
-        rec.seq = reads[k]->to_string();
+        rec.seq = sam_seq(*reads[k], own ? own->mapping->strand
+                                         : genomics::Strand::Forward);
         rec.flag = SamRecord::kFlagPaired |
                    (k == 0 ? SamRecord::kFlagFirstInPair
                            : SamRecord::kFlagSecondInPair);

@@ -11,6 +11,7 @@
 
 #include "core/cigar.hpp"
 #include "core/kernels.hpp"
+#include "core/paired.hpp"
 #include "core/repute_mapper.hpp"
 #include "filter/memopt_seeder.hpp"
 #include "full_table_align.hpp"
@@ -195,6 +196,76 @@ TEST_F(CigarTest, EndToEndSamWithCigar) {
         EXPECT_GE(rec.pos, 1u);
     }
     EXPECT_GT(mapped_records, sim_->batch.size() / 2);
+}
+
+TEST_F(CigarTest, ReverseStrandSeqIsReverseComplemented) {
+    // SAM §1.4: on a 0x10 record SEQ reads along the forward strand, as
+    // POS and the CIGAR do, so walking it against the reference with
+    // the CIGAR finds no mismatch.
+    const auto forward = reference_->sequence().extract(5000, 100);
+    repute::genomics::Read fwd_read;
+    fwd_read.codes = forward;
+    repute::genomics::ReadBatch batch;
+    batch.read_length = 100;
+    batch.reads.push_back(fwd_read);
+    batch.reads[0].name = "rc";
+    batch.reads[0].codes = fwd_read.reverse_complement();
+    ReadMapping mapping;
+    mapping.position = 5000;
+    mapping.strand = Strand::Reverse;
+    repute::core::MapResult result;
+    result.per_read.push_back({mapping});
+
+    const repute::genomics::MultiReference multi(*reference_);
+    std::stringstream io;
+    repute::pipeline::SamEmitter emitter(io, multi, {true, 3});
+    io << emitter.render_read(batch, 0, result);
+    const auto sam = repute::genomics::read_sam(io);
+    ASSERT_EQ(sam.size(), 1u);
+    const auto& rec = sam[0];
+    EXPECT_EQ(rec.flag & repute::genomics::SamRecord::kFlagReverse,
+              repute::genomics::SamRecord::kFlagReverse);
+    EXPECT_EQ(rec.cigar, "100M");
+    EXPECT_EQ(rec.pos, 5001u);
+    EXPECT_EQ(rec.seq, fwd_read.to_string());
+}
+
+TEST_F(CigarTest, ReverseMateSeqIsReverseComplemented) {
+    // The paired emitter follows the same rule per mate: the forward
+    // mate keeps its bases, the reverse mate is reverse-complemented.
+    repute::genomics::Read mate1, mate2, ref_window;
+    mate1.name = "p/1";
+    mate1.codes = reference_->sequence().extract(3000, 100);
+    ref_window.codes = reference_->sequence().extract(3200, 100);
+    mate2.name = "p/2";
+    mate2.codes = ref_window.reverse_complement();
+    repute::core::PairMapping pair;
+    pair.classification = repute::core::PairClass::Proper;
+    pair.mate1.position = 3000;
+    pair.mate1.strand = Strand::Forward;
+    pair.mate2.position = 3200;
+    pair.mate2.strand = Strand::Reverse;
+    pair.insert_size = 300;
+    repute::genomics::ReadBatch first, second;
+    first.read_length = second.read_length = 100;
+    first.reads.push_back(mate1);
+    second.reads.push_back(mate2);
+    repute::core::PairedResult result;
+    result.pairs.push_back(pair);
+
+    const repute::genomics::MultiReference multi(*reference_);
+    std::stringstream io;
+    repute::pipeline::SamEmitter emitter(io, multi, {false, 3});
+    for (const auto& bytes : emitter.render_paired(first, second, result)) {
+        io << bytes;
+    }
+    const auto sam = repute::genomics::read_sam(io);
+    ASSERT_EQ(sam.size(), 2u);
+    EXPECT_EQ(sam[0].seq, mate1.to_string());
+    EXPECT_EQ(sam[1].flag & repute::genomics::SamRecord::kFlagReverse,
+              repute::genomics::SamRecord::kFlagReverse);
+    EXPECT_EQ(sam[1].pos, 3201u);
+    EXPECT_EQ(sam[1].seq, ref_window.to_string());
 }
 
 TEST_F(CigarTest, PrecisePositionMatchesOriginForCleanReads) {

@@ -202,14 +202,13 @@ TEST_F(CigarTest, ReverseStrandSeqIsReverseComplemented) {
     // SAM §1.4: on a 0x10 record SEQ reads along the forward strand, as
     // POS and the CIGAR do, so walking it against the reference with
     // the CIGAR finds no mismatch.
-    const auto forward = reference_->sequence().extract(5000, 100);
-    repute::genomics::Read fwd_read;
-    fwd_read.codes = forward;
+    repute::genomics::Read forward;
+    forward.codes = reference_->sequence().extract(5000, 100);
     repute::genomics::ReadBatch batch;
     batch.read_length = 100;
-    batch.reads.push_back(fwd_read);
+    batch.reads.resize(1);
     batch.reads[0].name = "rc";
-    batch.reads[0].codes = fwd_read.reverse_complement();
+    batch.reads[0].codes = forward.reverse_complement();
     ReadMapping mapping;
     mapping.position = 5000;
     mapping.strand = Strand::Reverse;
@@ -227,7 +226,7 @@ TEST_F(CigarTest, ReverseStrandSeqIsReverseComplemented) {
               repute::genomics::SamRecord::kFlagReverse);
     EXPECT_EQ(rec.cigar, "100M");
     EXPECT_EQ(rec.pos, 5001u);
-    EXPECT_EQ(rec.seq, fwd_read.to_string());
+    EXPECT_EQ(rec.seq, forward.to_string());
 }
 
 TEST_F(CigarTest, ReverseMateSeqIsReverseComplemented) {

@@ -178,7 +178,9 @@ TEST_F(FilterTest, MemoptMatchesFullOssOnRandomReads) {
     for (const std::uint32_t s_min : {10u, 12u, 14u, 16u}) {
         for (const std::size_t n : {100u, 125u, 150u}) {
             for (std::uint32_t delta = 0; delta <= 7; ++delta) {
-                if ((delta + 1) * s_min <= n) cells.push_back({n, delta, s_min});
+                if ((delta + 1) * s_min <= n) {
+                    cells.push_back({n, delta, s_min});
+                }
             }
         }
     }

@@ -93,7 +93,9 @@ int run_xfer_bench(const util::Args& args) {
             std::ostringstream sam;
             pipeline::SamEmitter emitter(sam, multi, emit_config);
             emitter.write_header();
-            emitter.emit(batch, result);
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+                sam << emitter.render_read(batch, i, result);
+            }
             *sam_out = sam.str();
         }
         return result;
@@ -203,7 +205,9 @@ int main(int argc, char** argv) {
         const auto result = mapper->map(unit.batch, delta);
         pipeline::SamEmitter emitter(sam, multi, emit_config);
         emitter.write_header();
-        emitter.emit(unit.batch, result);
+        for (std::size_t i = 0; i < unit.batch.size(); ++i) {
+            sam << emitter.render_read(unit.batch, i, result);
+        }
         mono_best = std::min(mono_best, timer.seconds());
         mono_sam = sam.str();
     }

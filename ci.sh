@@ -41,10 +41,15 @@
 #                 80/100/131 bp reads byte-compared against the
 #                 per-length-split oracle, .gz input byte-identical to
 #                 its plain twin (single-end, paired with one gz mate,
-#                 and through the daemon) and test_mixed under TSan
+#                 and through the daemon), the retired --read-length
+#                 flag refused by name, and test_mixed under TSan
 #   zliboff       -DREPUTE_ZLIB=OFF build: plain input keeps working and
 #                 gzip input is rejected with a clear error instead of
 #                 being misparsed
+#   e2e           the end-to-end benchmark (bench/e2e, its own CMake
+#                 project in build-e2e/): builds e2e_bench and the
+#                 `repute` CLI and runs the e2e_smoke ctest (every
+#                 workload at 5% scale, timed and traced)
 #   coverage      `repute` CLI built with --coverage -O0, driven through
 #                 index build / map / serve / client on the mixed-tier
 #                 fixtures; ci/coverage_report.py lists the src/ files
@@ -71,12 +76,12 @@ for arg in "$@"; do
     case "$arg" in
         --quick) QUICK=1 ;;
         --format-check) TIERS+=(format) ;;
-        tier1|bench|tsan|asan|ubsan|simdoff|serve|shard|mixed|zliboff|coverage|format) TIERS+=("$arg") ;;
+        tier1|bench|tsan|asan|ubsan|simdoff|serve|shard|mixed|zliboff|e2e|coverage|format) TIERS+=("$arg") ;;
         ''|*[!0-9]*) echo "unknown argument: $arg" >&2; exit 2 ;;
         *) JOBS="$arg" ;;
     esac
 done
-[[ ${#TIERS[@]} -eq 0 ]] && TIERS=(tier1 bench tsan asan ubsan simdoff serve shard mixed zliboff format)
+[[ ${#TIERS[@]} -eq 0 ]] && TIERS=(tier1 bench tsan asan ubsan simdoff serve shard mixed zliboff e2e format)
 JOBS="${JOBS:-$(nproc)}"
 
 # ccache transparently accelerates the CI matrix (each job re-runs the
@@ -465,6 +470,17 @@ PY
     cmp "$MIXED_TMP/pe_plain.sam" "$MIXED_TMP/pe_gz.sam"
     echo "paired gz mate byte-identical to plain"
 
+    # The fixed-length mode is gone: its flag is refused by name, not
+    # silently ignored.
+    if "$R" map --delta 3 --ref "$FIXDIR/ref.fa" --reads "$FIXDIR/mixed.fq" \
+         --read-length 100 --out "$MIXED_TMP/pinned.sam" \
+         2>"$MIXED_TMP/pinned.log"; then
+        echo "FAIL: --read-length was accepted" >&2
+        exit 1
+    fi
+    grep -q -- "--read-length was removed" "$MIXED_TMP/pinned.log"
+    echo "--read-length rejected by name"
+
     # The daemon serves heterogeneous-length gz requests too: the blob
     # ships compressed and the resident session inflates it.
     "$R" index build --ref "$FIXDIR/ref.fa" --out "$MIXED_TMP/ref.rix"
@@ -518,6 +534,17 @@ if has_tier zliboff; then
     fi
     grep -q "without zlib" "$ZOFF_TMP/err.log"
     echo "gz input rejected with a clear error"
+fi
+
+if has_tier e2e; then
+    echo "== e2e: the end-to-end benchmark builds and its smoke test passes =="
+    # bench/e2e is its own CMake project over the repository, so this is
+    # the tier that notices when src/ drops an API the benchmark uses.
+    cmake -S bench/e2e -B build-e2e -DCMAKE_BUILD_TYPE=Release \
+          "${LAUNCHER[@]}"
+    cmake --build build-e2e -j "$JOBS" --target e2e_bench
+    ctest --test-dir build-e2e --output-on-failure --no-tests=error \
+          -R '^e2e_smoke$'
 fi
 
 if has_tier coverage; then

@@ -55,7 +55,8 @@ def main():
             path = os.path.realpath(
                 os.path.join(unit.get("current_working_directory", ""),
                              entry["file"]))
-            if not path.startswith(src_dir):
+            # A reused build dir keeps the notes of deleted sources.
+            if not path.startswith(src_dir) or not os.path.exists(path):
                 continue
             rel = "src/" + path[len(src_dir):]
             lines = entry.get("lines", [])

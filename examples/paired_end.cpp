@@ -25,7 +25,8 @@ int main(int argc, char** argv) {
     genomics::GenomeSimConfig gconfig;
     gconfig.length =
         static_cast<std::size_t>(args.get_int("genome", 2'000'000));
-    const auto reference = genomics::simulate_genome(gconfig);
+    const genomics::MultiReference multi(genomics::simulate_genome(gconfig));
+    const genomics::Reference& reference = multi.concatenated();
     const index::FmIndex fm(reference, 4);
 
     genomics::PairSimConfig pconfig;
@@ -86,7 +87,6 @@ int main(int argc, char** argv) {
     }
 
     // SAM with pairing flags and TLEN (first pair's two records).
-    const genomics::MultiReference multi(reference);
     std::ostringstream out;
     pipeline::SamEmitter emitter(out, multi, {true, delta});
     emitter.write_header();

@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
     genomics::GenomeSimConfig gconfig;
     gconfig.length =
         static_cast<std::size_t>(args.get_int("genome", 1'000'000));
-    const auto reference = genomics::simulate_genome(gconfig);
+    const genomics::MultiReference multi(genomics::simulate_genome(gconfig));
+    const genomics::Reference& reference = multi.concatenated();
     std::printf("reference %s: %zu bp\n", reference.name().c_str(),
                 reference.size());
 
@@ -60,7 +61,6 @@ int main(int argc, char** argv) {
     std::printf("%s", core::format_map_report(sim.batch, result).c_str());
 
     // 5. SAM output: header plus the first few reads' records.
-    const genomics::MultiReference multi(reference);
     std::ostringstream out;
     pipeline::SamEmitter emitter(out, multi, {true, 5});
     emitter.write_header();

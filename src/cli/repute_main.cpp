@@ -97,8 +97,6 @@ pipeline:
   --queue-depth N       batches buffered between stages (default 4)
   --threads N           concurrent map workers (default 1)
   --on-malformed MODE   drop (count and continue) | fail (default drop)
-  --read-length N       fixed read length; 0 = mixed-length bucketed
-                        mapping (the default)
   --length-grid N       length-class quantization for mixed input:
                         reads bucket by length rounded up to a multiple
                         of N, padded virtually within a class
@@ -154,8 +152,6 @@ options:
   --map-workers N       mappers requested (fair-share granted, default 1)
   --batch-size N        reads per batch (default 4096)
   --queue-depth N       pipeline queue depth (default 4)
-  --read-length N       fixed read length; 0 = mixed-length bucketed
-                        mapping (the default)
   --length-grid N       length-class quantization grid (default 16)
   --on-malformed MODE   drop | fail (default drop)
   --insert-min/--insert-max
@@ -185,6 +181,15 @@ pipeline::OnMalformed parse_on_malformed(const std::string& mode) {
     if (mode == "fail") return pipeline::OnMalformed::Fail;
     throw CliError("--on-malformed must be 'drop' or 'fail', got: " +
                    mode);
+}
+
+/// `map` and `client` once took --read-length to pin one length class;
+/// every length now maps, so the flag is refused rather than ignored.
+void reject_read_length(const util::Args& args) {
+    if (args.has("read-length")) {
+        throw CliError("--read-length was removed: reads of every length "
+                       "are mapped, bucketed by --length-grid");
+    }
 }
 
 /// Session-level knobs shared by `map` and `serve`.
@@ -365,6 +370,7 @@ int run_index_build(const util::Args& args) {
 // ----------------------------------------------------------------- map
 
 int run_map(const util::Args& args) {
+    reject_read_length(args);
     const bool has_source = args.has("ref") || args.has("index");
     const std::string reads_path = args.get_string("reads", "");
     if (args.has("help") || !has_source || reads_path.empty()) {
@@ -388,8 +394,6 @@ int run_map(const util::Args& args) {
         static_cast<std::size_t>(args.get_int("queue-depth", 4));
     request.reader.batch_size =
         static_cast<std::size_t>(args.get_int("batch-size", 4096));
-    request.reader.read_length =
-        static_cast<std::size_t>(args.get_int("read-length", 0));
     request.reader.length_grid =
         static_cast<std::size_t>(args.get_int("length-grid", 16));
     request.reader.on_malformed =
@@ -500,6 +504,7 @@ int run_serve(const util::Args& args) {
 // -------------------------------------------------------------- client
 
 int run_client_cmd(const util::Args& args) {
+    reject_read_length(args);
     const std::string socket_path = args.get_string("socket", "");
     const std::string reads_path = args.get_string("reads", "");
     if (args.has("help") || socket_path.empty() || reads_path.empty()) {
@@ -527,8 +532,6 @@ int run_client_cmd(const util::Args& args) {
         static_cast<std::uint32_t>(args.get_int("batch-size", 4096));
     request.queue_depth =
         static_cast<std::uint32_t>(args.get_int("queue-depth", 4));
-    request.read_length =
-        static_cast<std::uint32_t>(args.get_int("read-length", 0));
     request.length_grid =
         static_cast<std::uint32_t>(args.get_int("length-grid", 16));
     request.min_insert =

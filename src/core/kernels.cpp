@@ -397,19 +397,6 @@ std::uint64_t map_read_workitem(const index::FmIndex& fm,
     return local.total_ops();
 }
 
-std::uint64_t map_read_workitem(const index::FmIndex& fm,
-                                const genomics::Reference& reference,
-                                const filter::Seeder& seeder,
-                                const genomics::Read& read,
-                                std::uint32_t delta,
-                                const KernelConfig& config,
-                                std::vector<ReadMapping>& out,
-                                StageTotals* stages) {
-    KernelScratch scratch;
-    return map_read_workitem(fm, reference, seeder, read, delta, config,
-                             out, scratch, stages);
-}
-
 std::uint64_t kernel_scratch_bytes(const filter::Seeder& seeder,
                                    std::size_t read_length,
                                    std::uint32_t delta) {

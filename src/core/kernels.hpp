@@ -178,16 +178,6 @@ std::uint64_t map_read_workitem(const index::FmIndex& fm,
                                 KernelScratch& scratch,
                                 StageTotals* stages = nullptr);
 
-/// Convenience overload allocating a fresh KernelScratch per call.
-std::uint64_t map_read_workitem(const index::FmIndex& fm,
-                                const genomics::Reference& reference,
-                                const filter::Seeder& seeder,
-                                const genomics::Read& read,
-                                std::uint32_t delta,
-                                const KernelConfig& config,
-                                std::vector<ReadMapping>& out,
-                                StageTotals* stages = nullptr);
-
 /// Static private-memory requirement per work-item for a launch with
 /// these parameters (seeder scratch + verification window + Myers state
 /// + dedup cache). Drives GPU occupancy and out-of-resource behavior.

@@ -11,7 +11,6 @@
 #include "filter/heuristic_seeder.hpp"
 #include "filter/memopt_seeder.hpp"
 #include "obs/trace.hpp"
-#include "util/logging.hpp"
 
 namespace repute::core {
 
@@ -509,16 +508,10 @@ void HeterogeneousMapper::map_static(const Job& job, MapResult& result) {
             lanes.emplace_back(*this, job, context, device, name_ + "::map");
         const auto max_chunk = static_cast<std::size_t>(
             std::min<std::uint64_t>(counts[d], lane.max_reads()));
-        if (max_chunk < counts[d]) {
-            util::logf(util::LogLevel::Info,
-                       "%s: %zu reads exceed %s memory; running %zu-read "
-                       "kernel invocations",
-                       name_.c_str(), counts[d], device.name().c_str(),
-                       max_chunk);
-            if (auto* m = obs::metrics()) {
-                m->counter("mapper.buffer_ceiling_splits")
-                    .add((counts[d] + max_chunk - 1) / max_chunk - 1);
-            }
+        auto* m = obs::metrics();
+        if (m != nullptr && max_chunk < counts[d]) {
+            m->counter("mapper.buffer_ceiling_splits")
+                .add((counts[d] + max_chunk - 1) / max_chunk - 1);
         }
         lane.allocate(max_chunk);
         for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -549,10 +542,6 @@ void HeterogeneousMapper::map_dynamic(const Job& job, MapResult& result) {
     std::vector<double> warm_start;
     for (const DeviceShare& s : shares_) {
         if (job.scratch_bytes > s.device->profile().private_memory_per_unit) {
-            util::logf(util::LogLevel::Info,
-                       "%s: dropping %s (needs %llu B scratch/item)",
-                       name_.c_str(), s.device->name().c_str(),
-                       static_cast<unsigned long long>(job.scratch_bytes));
             continue;
         }
         devices.push_back(s.device);

@@ -48,7 +48,6 @@ TuneResult tune_shares(const genomics::Reference& reference,
         if (scratch > device.profile().private_memory_per_unit) {
             continue; // cannot run the kernel at all
         }
-        std::vector<ReadMapping> scratch_out;
         ocl::CommandQueue queue(device);
         ocl::KernelLaunch launch;
         launch.name = "tune-probe";
@@ -58,10 +57,11 @@ TuneResult tune_shares(const genomics::Reference& reference,
         // only the modeled time matters.
         launch.body = [&, stride](std::size_t i) -> std::uint64_t {
             thread_local std::vector<ReadMapping> out;
+            thread_local KernelScratch kernel_scratch;
             return map_read_workitem(fm, reference, seeder,
                                      batch.reads[(i * stride) %
                                                  batch.size()],
-                                     delta, kernel, out);
+                                     delta, kernel, out, kernel_scratch);
         };
         const auto stats = queue.run(std::move(launch));
         // Fold the modeled host<->device transfer cost of a probe-sized

@@ -105,13 +105,6 @@ void SamEmitter::emit_read(std::ostream& out,
     ++stats_.reads;
 }
 
-void SamEmitter::emit(const genomics::ReadBatch& batch,
-                      const core::MapResult& result) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        emit_read(*out_, batch, i, result);
-    }
-}
-
 std::string SamEmitter::render_read(const genomics::ReadBatch& batch,
                                     std::size_t index,
                                     const core::MapResult& result) {
@@ -214,14 +207,6 @@ void SamEmitter::emit_pair(std::ostream& out, const genomics::Read& read1,
         }
         write_record(out, rec);
         ++stats_.reads;
-    }
-}
-
-void SamEmitter::emit_paired(const genomics::ReadBatch& first,
-                             const genomics::ReadBatch& second,
-                             const core::PairedResult& result) {
-    for (const auto& pair : render_paired(first, second, result)) {
-        *out_ << pair;
     }
 }
 

@@ -2,9 +2,11 @@
 // Streaming SAM emission — the output stage of the batch pipeline and
 // the only SAM writer in the tool.
 //
-// One SamEmitter owns an output stream for the duration of a run:
-// write_header() once, then emit() per mapped batch, in order. The
-// record formatting is the single source of truth for every caller —
+// One SamEmitter serves one run: write_header() writes the header to
+// its output stream, and render_read()/render_paired() format each
+// read's (or pair's) records, which the caller writes in input order
+// (the streaming path through RecordReorderWriter). The record
+// formatting is the single source of truth for every caller —
 // the streaming CLI, the daemon, the benches and the tests — which is
 // what makes "streaming output is byte-identical to one big batch" a
 // testable property rather than a hope.
@@ -38,7 +40,7 @@ struct SamEmitterConfig {
 class SamEmitter {
 public:
     struct Stats {
-        std::size_t records = 0;          ///< SAM lines written
+        std::size_t records = 0;          ///< SAM lines rendered
         std::size_t reads = 0;            ///< reads (or mates) covered
         std::size_t dropped_boundary = 0; ///< straddled a sequence join
         std::size_t dropped_cigar = 0;    ///< re-alignment disagreed
@@ -51,31 +53,25 @@ public:
     /// @HD / @SQ (one per sequence) / @PG lines.
     void write_header();
 
-    /// Emits one batch's mappings: every read produces at least one
-    /// record (unmapped reads get a flag-0x4 placeholder); the first
-    /// reported mapping is primary, the rest are flagged secondary.
-    /// Boundary checks use each read's own length, so mixed-length
-    /// (bucketed) batches emit identically to uniform ones.
-    void emit(const genomics::ReadBatch& batch,
-              const core::MapResult& result);
-
-    /// Paired batch: two records per pair (first mate, then second),
-    /// both placements resolved to per-sequence coordinates before
-    /// either record is written. A mate whose placement straddles a
-    /// sequence boundary is demoted to unmapped. 0x8 marks an unmapped
-    /// mate and 0x20 a mapped reverse one; RNEXT is '=' only when both
-    /// mates sit on the same sequence, else the mate's sequence name
-    /// ('*' when the mate is unmapped); 0x2 and TLEN need both mates on
-    /// one sequence and a Proper or Rescued pair.
-    void emit_paired(const genomics::ReadBatch& first,
-                     const genomics::ReadBatch& second,
-                     const core::PairedResult& result);
-
-    /// render_*: the exact bytes emit()/emit_paired() would write for
-    /// one read (or one pair — two lines), returned instead of written.
-    /// Stats update as if emitted. Used by the streaming path, which
-    /// reorders per-read strings by global input ordinal before they
-    /// reach the output stream.
+    /// One read's SAM records: at least one per read (an unmapped read
+    /// gets a flag-0x4 placeholder); the first reported mapping is
+    /// primary, the rest are flagged secondary. Boundary checks use the
+    /// read's own length, so mixed-length (bucketed) batches render
+    /// identically to uniform ones.
+    ///
+    /// render_paired: two records per pair (first mate, then second),
+    /// one string per pair. Both placements are resolved to
+    /// per-sequence coordinates before either record is formatted; a
+    /// mate whose placement straddles a sequence boundary is demoted to
+    /// unmapped. 0x8 marks an unmapped mate and 0x20 a mapped reverse
+    /// one; RNEXT is '=' only when both mates sit on the same sequence,
+    /// else the mate's sequence name ('*' when the mate is unmapped);
+    /// 0x2 and TLEN need both mates on one sequence and a Proper or
+    /// Rescued pair.
+    ///
+    /// Both return the bytes instead of writing them, and update
+    /// stats(): the streaming path reorders per-read strings by global
+    /// input ordinal before they reach the output stream.
     std::string render_read(const genomics::ReadBatch& batch,
                             std::size_t index,
                             const core::MapResult& result);

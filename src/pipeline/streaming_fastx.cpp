@@ -1,7 +1,6 @@
 #include "pipeline/streaming_fastx.hpp"
 
 #include <array>
-#include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string_view>
@@ -43,25 +42,10 @@ namespace detail {
 BucketingReader::BucketingReader(std::span<std::istream* const> in,
                                  const StreamingReaderConfig& config)
     : config_(config) {
-    for (std::istream* stream : in) add_mate(*stream);
-}
-
-BucketingReader::BucketingReader(std::span<const std::string> paths,
-                                 const StreamingReaderConfig& config)
-    : config_(config) {
-    for (const std::string& path : paths) {
-        owned_.push_back(
-            std::make_unique<std::ifstream>(path, std::ios::binary));
-        if (!*owned_.back()) {
-            throw std::runtime_error("cannot open file: " + path);
-        }
-        add_mate(*owned_.back());
+    for (std::istream* stream : in) {
+        mates_.emplace_back().stream =
+            std::make_unique<genomics::FastxRecordStream>(*stream);
     }
-}
-
-void BucketingReader::add_mate(std::istream& in) {
-    mates_.emplace_back().stream =
-        std::make_unique<genomics::FastxRecordStream>(in);
 }
 
 void BucketingReader::flush(std::uint64_t key) {
@@ -115,14 +99,11 @@ void BucketingReader::accept() {
     std::size_t pad = 0;
     for (Mate& mate : mates_) {
         const std::size_t len = mate.record.sequence.size();
-        if (len == 0 ||
-            (config_.read_length != 0 && len != config_.read_length)) {
+        if (len == 0) {
             ++stats_.dropped_length;
             return;
         }
-        mate.ceiling = config_.read_length != 0
-                           ? config_.read_length
-                           : (len + grid - 1) / grid * grid;
+        mate.ceiling = (len + grid - 1) / grid * grid;
         key = (key << 32) | static_cast<std::uint64_t>(mate.ceiling);
         pad += mate.ceiling - len; // codes stay true-length
     }
@@ -214,10 +195,6 @@ StreamingFastxReader::StreamingFastxReader(std::istream& in,
                                            StreamingReaderConfig config)
     : BucketingReader(std::array{&in}, config) {}
 
-StreamingFastxReader::StreamingFastxReader(const std::string& path,
-                                           StreamingReaderConfig config)
-    : BucketingReader(std::array{path}, config) {}
-
 bool StreamingFastxReader::next_bucket(OrderedBatch& out) {
     return next(std::array{&out.batch}, out.ordinals);
 }
@@ -226,11 +203,6 @@ PairedStreamingReader::PairedStreamingReader(std::istream& in1,
                                              std::istream& in2,
                                              StreamingReaderConfig config)
     : BucketingReader(std::array{&in1, &in2}, config) {}
-
-PairedStreamingReader::PairedStreamingReader(const std::string& path1,
-                                             const std::string& path2,
-                                             StreamingReaderConfig config)
-    : BucketingReader(std::array{path1, path2}, config) {}
 
 bool PairedStreamingReader::next_bucket(OrderedPairBatch& out) {
     return next(std::array{&out.first, &out.second}, out.ordinals);

@@ -54,9 +54,6 @@ struct StreamingReaderConfig {
     /// Reads per batch; a bucket flushed early may be smaller.
     std::size_t batch_size = 4096;
     OnMalformed on_malformed = OnMalformed::Drop;
-    /// 0 selects length-bucketed mode; non-zero degenerates to a single
-    /// class that drops every other length.
-    std::size_t read_length = 0;
     /// Length-class quantization: a read of length n lands in the class
     /// whose ceiling is n rounded up to a multiple of this grid. 1 =
     /// exact-length classes; 0 is treated as 1.
@@ -73,7 +70,7 @@ struct StreamingReaderStats {
     std::size_t records = 0;           ///< well-formed records (pairs)
     std::size_t batches = 0;           ///< non-empty batches yielded
     std::size_t dropped_malformed = 0; ///< structural rejects (Drop mode)
-    std::size_t dropped_length = 0;    ///< empty or wrong-length records
+    std::size_t dropped_length = 0;    ///< empty records
     std::string last_error;            ///< most recent malformed message
     /// Virtual pad bases (class ceiling minus true length, summed over
     /// accepted reads) and distinct length classes.
@@ -117,10 +114,6 @@ public:
     /// The streams must outlive the reader.
     BucketingReader(std::span<std::istream* const> in,
                     const StreamingReaderConfig& config);
-    /// Opens each path; throws std::runtime_error when one cannot be
-    /// read.
-    BucketingReader(std::span<const std::string> paths,
-                    const StreamingReaderConfig& config);
 
     /// Moves the next ready bucket's mate batches (one per stream) and
     /// ordinals out; false when the input is exhausted and every bucket
@@ -146,12 +139,10 @@ private:
         std::size_t ceiling = 0;
     };
 
-    void add_mate(std::istream& in);
     void accept();
     void flush(std::uint64_t key);
     void flush_oldest();
 
-    std::vector<std::unique_ptr<std::istream>> owned_; ///< path ctor
     StreamingReaderConfig config_;
     StreamingReaderStats stats_;
     std::vector<Mate> mates_;
@@ -171,9 +162,6 @@ class StreamingFastxReader : private detail::BucketingReader {
 public:
     /// The stream must outlive the reader.
     explicit StreamingFastxReader(std::istream& in,
-                                  StreamingReaderConfig config = {});
-    /// Opens `path`; throws std::runtime_error when it cannot be read.
-    explicit StreamingFastxReader(const std::string& path,
                                   StreamingReaderConfig config = {});
 
     /// Yields the next ready length-class bucket (see the header comment
@@ -195,9 +183,6 @@ class PairedStreamingReader : private detail::BucketingReader {
 public:
     /// Both streams must outlive the reader.
     PairedStreamingReader(std::istream& in1, std::istream& in2,
-                          StreamingReaderConfig config = {});
-    PairedStreamingReader(const std::string& path1,
-                          const std::string& path2,
                           StreamingReaderConfig config = {});
 
     /// Yields the next ready pair bucket; same dispatch rules as

@@ -4,16 +4,19 @@
 #include <cstring>
 #include <stdexcept>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 namespace repute::serve {
 
 namespace {
 
+/// MSG_NOSIGNAL: a peer that has gone away yields EPIPE (and a throw)
+/// instead of SIGPIPE, whose default action would end the daemon.
 void write_all(int fd, const void* data, std::size_t bytes) {
     const char* p = static_cast<const char*>(data);
     while (bytes > 0) {
-        const ssize_t n = ::write(fd, p, bytes);
+        const ssize_t n = ::send(fd, p, bytes, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR) continue;
             throw std::runtime_error(
@@ -133,7 +136,7 @@ std::string encode_request(const WireRequest& request) {
     put_u32(out, request.map_workers);
     put_u32(out, request.batch_size);
     put_u32(out, request.queue_depth);
-    put_u32(out, request.read_length);
+    put_u32(out, 0); // retired read_length slot
     put_u32(out, request.min_insert);
     put_u32(out, request.max_insert);
     put_blob(out, request.tenant);
@@ -155,7 +158,12 @@ WireRequest decode_request(const std::string& payload) {
     request.map_workers = in.pod<std::uint32_t>();
     request.batch_size = in.pod<std::uint32_t>();
     request.queue_depth = in.pod<std::uint32_t>();
-    request.read_length = in.pod<std::uint32_t>();
+    if (in.pod<std::uint32_t>() != 0) {
+        throw std::runtime_error(
+            "serve: request sets the retired read_length field; "
+            "fixed-length mode is gone, send 0 and let reads bucket "
+            "by length");
+    }
     request.min_insert = in.pod<std::uint32_t>();
     request.max_insert = in.pod<std::uint32_t>();
     request.tenant = in.blob();

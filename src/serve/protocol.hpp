@@ -15,7 +15,10 @@
 // The request payload is a fixed little-endian header (per-request
 // mapping knobs — the wire twin of pipeline::MapRequest) followed by
 // length-prefixed tenant / reads / mates byte blobs, then optional
-// trailing extension fields (currently: u32 length_grid). Decoders
+// trailing extension fields (currently: u32 length_grid). The header
+// keeps one retired u32 slot, once a fixed read length: encoders write
+// 0 there and decoders reject any other value, so a request that asks
+// for the retired fixed-length mode fails loudly. Decoders
 // default any absent trailing field, so payloads from older clients —
 // which simply end after the blobs — keep working; newer clients
 // talking to an older server are rejected by its trailing-bytes check,
@@ -69,9 +72,6 @@ struct WireRequest {
     std::uint32_t map_workers = 1;
     std::uint32_t batch_size = 4096;
     std::uint32_t queue_depth = 4;
-    /// 0 = length-bucketed mixed-length mapping (the default); non-zero
-    /// pins a fixed length and drops everything else.
-    std::uint32_t read_length = 0;
     std::uint32_t min_insert = 200;
     std::uint32_t max_insert = 600;
     std::string tenant;
@@ -86,7 +86,7 @@ struct WireRequest {
 std::string encode_request(const WireRequest& request);
 
 /// Parses a Request-frame payload; throws std::runtime_error on a
-/// truncated or malformed payload.
+/// truncated or malformed payload, or a non-zero retired slot.
 WireRequest decode_request(const std::string& payload);
 
 } // namespace repute::serve

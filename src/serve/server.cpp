@@ -183,7 +183,6 @@ void Server::handle_connection(int fd) {
         request.map_workers = wire.map_workers;
         request.queue_depth = wire.queue_depth;
         request.reader.batch_size = wire.batch_size;
-        request.reader.read_length = wire.read_length;
         request.reader.length_grid = wire.length_grid;
         request.reader.on_malformed = wire.fail_on_malformed != 0
                                           ? pipeline::OnMalformed::Fail

@@ -79,31 +79,4 @@ std::size_t BitVector::rank1(std::size_t i) const noexcept {
     return r;
 }
 
-std::size_t BitVector::select1(std::size_t k) const noexcept {
-    if (k >= total_ones_) return size_;
-    // Binary search the superblock directory for the last entry <= k.
-    std::size_t lo = 0, hi = superblock_.size() - 1;
-    while (lo < hi) {
-        const std::size_t mid = (lo + hi + 1) / 2;
-        if (superblock_[mid] <= k)
-            lo = mid;
-        else
-            hi = mid - 1;
-    }
-    std::size_t remaining = k - superblock_[lo];
-    std::size_t w = lo * kWordsPerSuper;
-    while (true) {
-        const auto in_word =
-            static_cast<std::size_t>(std::popcount(words_[w]));
-        if (remaining < in_word) break;
-        remaining -= in_word;
-        ++w;
-    }
-    // Scan the word for the (remaining+1)-th set bit.
-    std::uint64_t word = words_[w];
-    for (std::size_t j = 0; j < remaining; ++j) word &= word - 1;
-    return w * 64 +
-           static_cast<std::size_t>(std::countr_zero(word));
-}
-
 } // namespace repute::util

@@ -50,29 +50,6 @@ PackedDna PackedDna::view_of(std::span<const std::uint64_t> words,
     return dna;
 }
 
-PackedDna::PackedDna(const PackedDna& other)
-    : size_(other.size_), owned_words_(other.owned_words_) {
-    words_ = other.is_view()
-                 ? other.words_
-                 : std::span<const std::uint64_t>(owned_words_);
-}
-
-PackedDna& PackedDna::operator=(const PackedDna& other) {
-    if (this != &other) {
-        PackedDna copy(other);
-        *this = std::move(copy);
-    }
-    return *this;
-}
-
-bool PackedDna::operator==(const PackedDna& other) const noexcept {
-    if (size_ != other.size_) return false;
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-        if (words_[w] != other.words_[w]) return false;
-    }
-    return true;
-}
-
 void PackedDna::push_back(std::uint8_t code) {
     if ((size_ & 31) == 0) owned_words_.push_back(0);
     set_code(size_, code);
@@ -111,17 +88,8 @@ void PackedDna::extract_words(std::size_t pos, std::size_t len,
 
 std::string PackedDna::to_string(std::size_t pos, std::size_t len) const {
     std::string s(len, '\0');
-    for (std::size_t i = 0; i < len; ++i) s[i] = char_at(pos + i);
+    for (std::size_t i = 0; i < len; ++i) s[i] = code_to_base(code_at(pos + i));
     return s;
-}
-
-PackedDna PackedDna::reverse_complement() const {
-    PackedDna rc;
-    rc.owned_words_.reserve(words_.size());
-    for (std::size_t i = size_; i > 0; --i) {
-        rc.push_back(complement_code(code_at(i - 1)));
-    }
-    return rc;
 }
 
 } // namespace repute::util

@@ -43,8 +43,10 @@ public:
     static PackedDna view_of(std::span<const std::uint64_t> words,
                              std::size_t size);
 
-    PackedDna(const PackedDna& other);
-    PackedDna& operator=(const PackedDna& other);
+    // Move-only: a memberwise copy would leave words_ pointing into
+    // the source's buffer.
+    PackedDna(const PackedDna&) = delete;
+    PackedDna& operator=(const PackedDna&) = delete;
     PackedDna(PackedDna&&) noexcept = default;
     PackedDna& operator=(PackedDna&&) noexcept = default;
     ~PackedDna() = default;
@@ -66,9 +68,6 @@ public:
     std::uint8_t code_at(std::size_t i) const noexcept {
         return static_cast<std::uint8_t>(
             (words_[i >> 5] >> ((i & 31) * 2)) & 3u);
-    }
-    char char_at(std::size_t i) const noexcept {
-        return code_to_base(code_at(i));
     }
 
     void push_back(std::uint8_t code);
@@ -96,9 +95,6 @@ public:
     std::string to_string(std::size_t pos, std::size_t len) const;
     std::string to_string() const { return to_string(0, size_); }
 
-    /// Reverse complement of the whole sequence.
-    PackedDna reverse_complement() const;
-
     /// Total bytes reachable through the words (owned or mapped).
     std::size_t memory_bytes() const noexcept {
         return words_.size() * sizeof(std::uint64_t);
@@ -108,8 +104,6 @@ public:
     std::size_t heap_bytes() const noexcept {
         return owned_words_.size() * sizeof(std::uint64_t);
     }
-
-    bool operator==(const PackedDna& other) const noexcept;
 
 private:
     std::size_t size_ = 0;

@@ -75,26 +75,4 @@ double Xoshiro256::normal(double mean, double stddev) noexcept {
     return mean + stddev * radius * std::cos(2.0 * kPi * u2);
 }
 
-void Xoshiro256::long_jump() noexcept {
-    static constexpr std::uint64_t kJump[] = {
-        0x76E15D3EFEFDCBBFULL, 0xC5004E441C522FB3ULL,
-        0x77710069854EE241ULL, 0x39109BB02ACBE635ULL};
-    std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-    for (const std::uint64_t jump : kJump) {
-        for (int b = 0; b < 64; ++b) {
-            if (jump & (1ULL << b)) {
-                s0 ^= s_[0];
-                s1 ^= s_[1];
-                s2 ^= s_[2];
-                s3 ^= s_[3];
-            }
-            (*this)();
-        }
-    }
-    s_[0] = s0;
-    s_[1] = s1;
-    s_[2] = s2;
-    s_[3] = s3;
-}
-
 } // namespace repute::util

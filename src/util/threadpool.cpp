@@ -83,9 +83,4 @@ void ThreadPool::parallel_for(std::size_t n,
     if (first_error) std::rethrow_exception(first_error);
 }
 
-ThreadPool& global_pool() {
-    static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
-    return pool;
-}
-
 } // namespace repute::util

@@ -2,10 +2,12 @@
 // Fixed-size worker pool with a blocking task queue.
 //
 // Each simulated OpenCL device owns one pool sized to its compute-unit
-// count; NDRange dispatches are chopped into work-group tasks and fed
-// through it. The pool is intentionally simple (single mutex-protected
-// queue) — dispatch granularity in this codebase is hundreds of
-// microseconds and queue contention is negligible at that scale.
+// count, capped at the host's cores; NDRange dispatches are chopped
+// into work-group tasks and fed through it. Sharded index builds run
+// their per-shard builds on a pool of `--jobs` workers. The pool is
+// intentionally simple (single mutex-protected queue) — dispatch
+// granularity in this codebase is hundreds of microseconds and queue
+// contention is negligible at that scale.
 
 #include <condition_variable>
 #include <cstddef>
@@ -47,9 +49,5 @@ private:
 
     void worker_loop();
 };
-
-/// Shared process-wide pool sized to the hardware concurrency; used by
-/// code that has no device affinity (e.g. index construction).
-ThreadPool& global_pool();
 
 } // namespace repute::util

@@ -86,7 +86,9 @@ protected:
         GenomeSimConfig gconfig;
         gconfig.length = 100'000;
         gconfig.seed = 9;
-        reference_ = new Reference(simulate_genome(gconfig));
+        multi_ = new repute::genomics::MultiReference(
+            simulate_genome(gconfig));
+        reference_ = &multi_->concatenated();
         fm_ = new FmIndex(*reference_, 4);
 
         ReadSimConfig rconfig;
@@ -99,10 +101,11 @@ protected:
     static void TearDownTestSuite() {
         delete sim_;
         delete fm_;
-        delete reference_;
+        delete multi_;
         sim_ = nullptr;
         fm_ = nullptr;
         reference_ = nullptr;
+        multi_ = nullptr;
     }
 
     /// Read-consumed length from a CIGAR: M and I ops.
@@ -119,12 +122,16 @@ protected:
         return consumed;
     }
 
-    static Reference* reference_;
+    /// The fixture genome, and the same genome as a one-sequence
+    /// MultiReference for SAM output.
+    static repute::genomics::MultiReference* multi_;
+    static const Reference* reference_;
     static FmIndex* fm_;
     static SimulatedReads* sim_;
 };
 
-Reference* CigarTest::reference_ = nullptr;
+repute::genomics::MultiReference* CigarTest::multi_ = nullptr;
+const Reference* CigarTest::reference_ = nullptr;
 FmIndex* CigarTest::fm_ = nullptr;
 SimulatedReads* CigarTest::sim_ = nullptr;
 
@@ -178,10 +185,12 @@ TEST_F(CigarTest, EndToEndSamWithCigar) {
                                             {{&dev, 1.0}});
     const auto result = mapper->map(sim_->batch, 4);
 
-    const repute::genomics::MultiReference multi(*reference_);
+    const auto& multi = *multi_;
     std::stringstream io;
     repute::pipeline::SamEmitter emitter(io, multi, {true, 4});
-    emitter.emit(sim_->batch, result);
+    for (std::size_t i = 0; i < sim_->batch.size(); ++i) {
+        io << emitter.render_read(sim_->batch, i, result);
+    }
     EXPECT_EQ(emitter.stats().dropped_cigar, 0u)
         << "kernel mappings must all re-align";
     const auto sam = repute::genomics::read_sam(io);
@@ -215,7 +224,7 @@ TEST_F(CigarTest, ReverseStrandSeqIsReverseComplemented) {
     repute::core::MapResult result;
     result.per_read.push_back({mapping});
 
-    const repute::genomics::MultiReference multi(*reference_);
+    const auto& multi = *multi_;
     std::stringstream io;
     repute::pipeline::SamEmitter emitter(io, multi, {true, 3});
     io << emitter.render_read(batch, 0, result);
@@ -252,7 +261,7 @@ TEST_F(CigarTest, ReverseMateSeqIsReverseComplemented) {
     repute::core::PairedResult result;
     result.pairs.push_back(pair);
 
-    const repute::genomics::MultiReference multi(*reference_);
+    const auto& multi = *multi_;
     std::stringstream io;
     repute::pipeline::SamEmitter emitter(io, multi, {false, 3});
     for (const auto& bytes : emitter.render_paired(first, second, result)) {
@@ -368,9 +377,10 @@ TEST_F(CigarTest, StageTotalsSumToKernelOps) {
     KernelConfig config;
     std::vector<ReadMapping> out;
     StageTotals stages;
+    repute::core::KernelScratch scratch;
     const auto ops = repute::core::map_read_workitem(
         *fm_, *reference_, seeder, sim_->batch.reads[0], 4, config, out,
-        &stages);
+        scratch, &stages);
     EXPECT_EQ(ops, stages.total_ops());
     EXPECT_GT(stages.filtration_ops, 0u);
     EXPECT_GT(stages.verify_ops, 0u);

@@ -69,7 +69,9 @@ protected:
         GenomeSimConfig gconfig;
         gconfig.length = 200'000;
         gconfig.seed = 21;
-        reference_ = new Reference(simulate_genome(gconfig));
+        multi_ = new repute::genomics::MultiReference(
+            simulate_genome(gconfig));
+        reference_ = &multi_->concatenated();
         fm_ = new FmIndex(*reference_, 4);
 
         ReadSimConfig rconfig;
@@ -82,10 +84,11 @@ protected:
     static void TearDownTestSuite() {
         delete sim_;
         delete fm_;
-        delete reference_;
+        delete multi_;
         sim_ = nullptr;
         fm_ = nullptr;
         reference_ = nullptr;
+        multi_ = nullptr;
     }
 
     /// Fraction of simulated reads whose true origin appears in the
@@ -105,12 +108,16 @@ protected:
                static_cast<double>(sim_->batch.size());
     }
 
-    static Reference* reference_;
+    /// The fixture genome, and the same genome as a one-sequence
+    /// MultiReference for SAM output.
+    static repute::genomics::MultiReference* multi_;
+    static const Reference* reference_;
     static FmIndex* fm_;
     static SimulatedReads* sim_;
 };
 
-Reference* CoreTest::reference_ = nullptr;
+repute::genomics::MultiReference* CoreTest::multi_ = nullptr;
+const Reference* CoreTest::reference_ = nullptr;
 FmIndex* CoreTest::fm_ = nullptr;
 SimulatedReads* CoreTest::sim_ = nullptr;
 
@@ -121,11 +128,12 @@ TEST_F(CoreTest, WorkItemRecoversExactRead) {
     KernelConfig config;
     config.s_min = 12;
     std::vector<ReadMapping> out;
+    repute::core::KernelScratch scratch;
 
     repute::genomics::Read read;
     read.codes = reference_->sequence().extract(5000, 100);
     const auto ops = repute::core::map_read_workitem(
-        *fm_, *reference_, seeder, read, 5, config, out);
+        *fm_, *reference_, seeder, read, 5, config, out, scratch);
     EXPECT_GT(ops, 0u);
     ASSERT_FALSE(out.empty());
     ReadMapping truth;
@@ -148,8 +156,9 @@ TEST_F(CoreTest, WorkItemFindsReverseStrand) {
     read.codes.assign(fwd.rbegin(), fwd.rend());
     for (auto& b : read.codes) b = repute::util::complement_code(b);
 
+    repute::core::KernelScratch scratch;
     repute::core::map_read_workitem(*fm_, *reference_, seeder, read, 4,
-                                    config, out);
+                                    config, out, scratch);
     ReadMapping truth;
     truth.position = 7000;
     truth.strand = Strand::Reverse;
@@ -503,10 +512,12 @@ TEST_F(CoreTest, SamExportHasRecordPerMappingAndUnmappedReads) {
     auto mapper =
         make_repute(*reference_, *fm_, {{&dev, 1.0}}, config);
     const auto result = mapper->map(sim_->batch, 3);
-    const repute::genomics::MultiReference multi(*reference_);
+    const auto& multi = *multi_;
     std::stringstream io;
     repute::pipeline::SamEmitter emitter(io, multi, {false, 3});
-    emitter.emit(sim_->batch, result);
+    for (std::size_t i = 0; i < sim_->batch.size(); ++i) {
+        io << emitter.render_read(sim_->batch, i, result);
+    }
     const auto sam = repute::genomics::read_sam(io);
 
     std::size_t expected = 0;

@@ -283,13 +283,14 @@ TEST(EdgeMapping, ReadsAtReferenceBoundariesMapWithFunnelOnAndOff) {
     funnel_off.coalesce_windows = false;
     const repute::filter::MemoryOptimizedSeeder seeder(12);
 
+    repute::core::KernelScratch scratch_on, scratch_off;
     std::vector<ReadMapping> out_on, out_off;
     for (std::size_t i = 0; i < batch.reads.size(); ++i) {
         const auto& read = batch.reads[i];
         repute::core::map_read_workitem(fm, ref, seeder, read, 5,
-                                        funnel_on, out_on, nullptr);
+                                        funnel_on, out_on, scratch_on);
         repute::core::map_read_workitem(fm, ref, seeder, read, 5,
-                                        funnel_off, out_off, nullptr);
+                                        funnel_off, out_off, scratch_off);
         ASSERT_EQ(out_on, out_off) << "read " << read.id;
 
         const std::uint32_t expected = i < 2 ? 0u : ref_len - n;

@@ -165,8 +165,9 @@ TEST(KernelScratch, ColdScratchStillMapsCorrectly) {
     for (const auto& read : sim.batch.reads) {
         map_read_workitem(fm, reference, seeder, read, 4, config,
                           warm_out, scratch, nullptr);
+        KernelScratch cold;
         map_read_workitem(fm, reference, seeder, read, 4, config,
-                          cold_out, nullptr);
+                          cold_out, cold, nullptr);
         ASSERT_EQ(warm_out, cold_out) << "read " << read.id;
     }
 }

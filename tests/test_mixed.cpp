@@ -161,18 +161,15 @@ TEST(BucketReader, FlushSpanBoundFlushesOldestBucketShort) {
     EXPECT_EQ(pairs, 8u);
 }
 
-TEST(BucketReader, FixedLengthModeDropsOtherLengths) {
-    std::istringstream in(record_of("a", 16) + record_of("b", 20) +
-                          record_of("c", 16));
-    StreamingReaderConfig config;
-    config.read_length = 16;
-    StreamingFastxReader reader(in, config);
+TEST(BucketReader, EmptyRecordsDropAndOrdinalsStayDense) {
+    // A FASTA header with no sequence has nothing to map; it is counted
+    // in dropped_length, and ordinals number accepted reads only.
+    std::istringstream in(">a\nACGTACGT\n>empty\n>b\nACGTACGT\n");
+    StreamingFastxReader reader(in, {});
     const auto buckets = drain(reader);
     ASSERT_EQ(buckets.size(), 1u);
     EXPECT_EQ(buckets[0].batch.size(), 2u);
-    EXPECT_EQ(buckets[0].batch.read_length, 16u);
     EXPECT_EQ(reader.stats().dropped_length, 1u);
-    // Ordinals stay dense over *accepted* reads only.
     EXPECT_EQ(buckets[0].ordinals, (std::vector<std::uint64_t>{0, 1}));
 }
 
@@ -609,7 +606,7 @@ TEST(ServeMixed, SocketAndOneShotAgreeOnHeterogeneousLengths) {
 
     serve::WireRequest wire;
     wire.delta = 3;
-    wire.reads = fastq; // read_length stays 0: bucketed mixed-length
+    wire.reads = fastq;
     if (util::zlib_enabled()) wire.reads = util::gzip_compress(fastq);
 
     std::ostringstream socket_sam;
@@ -628,7 +625,6 @@ TEST(ServeMixed, SocketAndOneShotAgreeOnHeterogeneousLengths) {
     pipeline::MapRequest request;
     request.reads = &reads;
     request.delta = wire.delta;
-    request.reader.read_length = wire.read_length;
     request.reader.length_grid = wire.length_grid;
     std::ostringstream sam;
     session->map(request, sam);

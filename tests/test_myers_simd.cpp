@@ -494,7 +494,10 @@ TEST(SimdKernelEquivalence, SamByteIdenticalAcrossSimdAndFunnelMatrix) {
         std::ostringstream sam;
         pipeline::SamEmitter emitter(sam, multi, {true, delta});
         emitter.write_header();
-        emitter.emit(sim.batch, mapper->map(sim.batch, delta));
+        const auto result = mapper->map(sim.batch, delta);
+        for (std::size_t i = 0; i < sim.batch.size(); ++i) {
+            sam << emitter.render_read(sim.batch, i, result);
+        }
         return sam.str();
     };
 

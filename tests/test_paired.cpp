@@ -54,7 +54,9 @@ protected:
         GenomeSimConfig gconfig;
         gconfig.length = 300'000;
         gconfig.seed = 51;
-        reference_ = new Reference(simulate_genome(gconfig));
+        multi_ = new repute::genomics::MultiReference(
+            simulate_genome(gconfig));
+        reference_ = &multi_->concatenated();
         fm_ = new FmIndex(*reference_, 4);
 
         PairSimConfig pconfig;
@@ -70,20 +72,25 @@ protected:
         delete device_;
         delete sim_;
         delete fm_;
-        delete reference_;
+        delete multi_;
         device_ = nullptr;
         sim_ = nullptr;
         fm_ = nullptr;
         reference_ = nullptr;
+        multi_ = nullptr;
     }
 
-    static Reference* reference_;
+    /// The fixture genome, and the same genome as a one-sequence
+    /// MultiReference for SAM output.
+    static repute::genomics::MultiReference* multi_;
+    static const Reference* reference_;
     static FmIndex* fm_;
     static SimulatedPairs* sim_;
     static Device* device_;
 };
 
-Reference* PairedTest::reference_ = nullptr;
+repute::genomics::MultiReference* PairedTest::multi_ = nullptr;
+const Reference* PairedTest::reference_ = nullptr;
 FmIndex* PairedTest::fm_ = nullptr;
 SimulatedPairs* PairedTest::sim_ = nullptr;
 Device* PairedTest::device_ = nullptr;
@@ -240,11 +247,13 @@ TEST_F(PairedTest, PairedSamExportFlagsAndTlen) {
         second.reads.push_back(sim_->second.reads[i]);
     }
     const auto result = paired.map_pairs(first, second, 4);
-    const repute::genomics::MultiReference multi(*reference_);
+    const auto& multi = *multi_;
     std::stringstream io;
     repute::pipeline::SamEmitter emitter(io, multi, {true, 4});
     emitter.write_header();
-    emitter.emit_paired(first, second, result);
+    for (const auto& pair : emitter.render_paired(first, second, result)) {
+        io << pair;
+    }
     const auto sam = repute::genomics::read_sam(io);
     ASSERT_EQ(sam.size(), 20u);
     EXPECT_EQ(emitter.stats().reads, 20u);

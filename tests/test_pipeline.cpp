@@ -317,7 +317,10 @@ TEST(MappingPipeline, StreamingSamIsByteIdenticalToMonolithic) {
         ocl::Device cpu(skew_profile("mono-cpu", 8, 1e9));
         pipeline::SamEmitter emitter(mono_sam, fix.multi, {true, delta});
         emitter.write_header();
-        emitter.emit(unit.batch, fix.mapper(cpu)->map(unit.batch, delta));
+        const auto result = fix.mapper(cpu)->map(unit.batch, delta);
+        for (std::size_t i = 0; i < unit.batch.size(); ++i) {
+            mono_sam << emitter.render_read(unit.batch, i, result);
+        }
         EXPECT_FALSE(reader.next_bucket(unit));
     }
 
@@ -377,9 +380,12 @@ TEST(MappingPipeline, PairedStreamingMatchesMonolithic) {
                                   pair_config);
         pipeline::SamEmitter emitter(mono_sam, fix.multi, {true, delta});
         emitter.write_header();
-        emitter.emit_paired(
-            pairs.first, pairs.second,
-            paired.map_pairs(pairs.first, pairs.second, delta));
+        const auto result =
+            paired.map_pairs(pairs.first, pairs.second, delta);
+        for (const auto& pair :
+             emitter.render_paired(pairs.first, pairs.second, result)) {
+            mono_sam << pair;
+        }
     }
 
     std::ostringstream stream_sam;
@@ -469,7 +475,8 @@ TEST(MappingSession, PairedRequestReportsBothMatesTransferBytes) {
         genomics::simulate_pairs(fix.multi.concatenated(), pconfig);
     const std::string fastq1 = fastq_text(pairs.first);
     const std::string fastq2 = fastq_text(pairs.second);
-    auto session = pipeline::MappingSession::from_multi(fix.multi);
+    auto session = pipeline::MappingSession::from_multi(
+        genomics::MultiReference(MappingFixture::make_reference(150'000)));
 
     const auto map = [&](const std::string& reads,
                          const std::string* reads2) {

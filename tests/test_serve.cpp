@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
+
+#include <cstring>
 
 #include <sstream>
 #include <string>
@@ -105,7 +109,6 @@ protected:
         serve::WireRequest request = single_request(tenant);
         request.reads = paired_fastq1_;
         request.reads2 = paired_fastq2_;
-        request.read_length = 60;
         request.min_insert = 120;
         request.max_insert = 400;
         return request;
@@ -121,7 +124,6 @@ protected:
         request.delta = wire.delta;
         if (!wire.reads2.empty()) {
             request.reads2 = &reads2;
-            request.reader.read_length = wire.read_length;
             request.pair.min_insert = wire.min_insert;
             request.pair.max_insert = wire.max_insert;
         }
@@ -195,6 +197,29 @@ TEST_F(ServeTest, MalformedRequestGetsErrorFrameAndServerSurvives) {
     EXPECT_EQ(via_socket(wire), one_shot(wire));
 }
 
+TEST_F(ServeTest, VanishedClientDoesNotKillServer) {
+    // The client hangs up right after its request, so the handler's
+    // first SAM write hits a closed socket. That must fail the request,
+    // not raise SIGPIPE in the daemon.
+    const auto wire = single_request("gone");
+    {
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, server_->socket_path().c_str(),
+                     sizeof(addr.sun_path) - 1);
+        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        ASSERT_GE(fd, 0);
+        ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                            sizeof(addr)),
+                  0);
+        const std::string payload = serve::encode_request(wire);
+        serve::write_frame(fd, serve::FrameType::Request, payload.data(),
+                           payload.size());
+        ::close(fd);
+    }
+    EXPECT_EQ(via_socket(wire), one_shot(wire));
+}
+
 TEST_F(ServeTest, StopDrainsAndReportsServedCount) {
     const auto wire = single_request("drain");
     via_socket(wire);
@@ -202,6 +227,42 @@ TEST_F(ServeTest, StopDrainsAndReportsServedCount) {
     server_->stop();
     server_thread_.join();
     EXPECT_EQ(served_, 2u);
+}
+
+TEST(WireRequest, DefaultPayloadRoundTrips) {
+    serve::WireRequest request;
+    request.delta = 4;
+    request.tenant = "t";
+    request.reads = "@r\nACGT\n+\nIIII\n";
+    request.reads2 = "@r\nTGCA\n+\nIIII\n";
+    request.length_grid = 8;
+    const auto decoded =
+        serve::decode_request(serve::encode_request(request));
+    EXPECT_EQ(decoded.delta, 4u);
+    EXPECT_EQ(decoded.tenant, "t");
+    EXPECT_EQ(decoded.reads, request.reads);
+    EXPECT_EQ(decoded.reads2, request.reads2);
+    EXPECT_EQ(decoded.length_grid, 8u);
+}
+
+TEST(WireRequest, RetiredReadLengthSlotIsRejected) {
+    // The u32 after queue_depth once pinned a fixed read length. A
+    // payload that still sets it must be refused by name, not mapped
+    // as if it were absent.
+    std::string payload = serve::encode_request(serve::WireRequest{});
+    // delta u32, cigar u8, fail_on_malformed u8, map_workers,
+    // batch_size and queue_depth u32, then the slot.
+    constexpr std::size_t kSlot = 4 + 1 + 1 + 4 + 4 + 4;
+    ASSERT_EQ(payload.substr(kSlot, 4), std::string(4, '\0'));
+    const std::uint32_t sixty = 60;
+    std::memcpy(payload.data() + kSlot, &sixty, sizeof(sixty));
+    try {
+        (void)serve::decode_request(payload);
+        FAIL() << "a non-zero read_length slot must be rejected";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("read_length"),
+                  std::string::npos);
+    }
 }
 
 } // namespace

@@ -609,7 +609,7 @@ TEST_F(ShardIdentityTest, DynamicAffinityKeepsResidentShards) {
 class ShardSessionTest : public ::testing::Test {
 protected:
     static void SetUpTestSuite() {
-        multi_ = new genomics::MultiReference(contigs(5, 40'000, 99));
+        multi_ = new genomics::MultiReference(genome());
         index::ShardBuildConfig build;
         build.plan.shard_count = 4;
         build.plan.overlap = 192;
@@ -622,6 +622,11 @@ protected:
         delete multi_;
         built_ = nullptr;
         multi_ = nullptr;
+    }
+
+    /// The session genome; each monolithic session takes its own copy.
+    static genomics::MultiReference genome() {
+        return contigs(5, 40'000, 99);
     }
 
     static std::string fastq_of(const genomics::SimulatedReads& sim) {
@@ -685,7 +690,7 @@ TEST_F(ShardSessionTest, SingleEndSamBytesIdentical) {
         pipeline::SessionConfig config;
         config.flavor = flavor;
         auto mono = pipeline::MappingSession::from_multi(
-            genomics::MultiReference(*multi_), config);
+            genome(), config);
         auto sharded = pipeline::MappingSession::from_rix(
             built_->manifest_path, config);
         const auto sim =
@@ -702,7 +707,7 @@ TEST_F(ShardSessionTest, DynamicMultiDeviceSamBytesIdentical) {
     config.schedule = core::ScheduleMode::Dynamic;
     config.devices = {"i7-2600", "gtx590-0", "gtx590-1"};
     auto mono = pipeline::MappingSession::from_multi(
-        genomics::MultiReference(*multi_), config);
+        genome(), config);
     auto sharded = pipeline::MappingSession::from_rix(
         built_->manifest_path, config);
     const auto sim = clean_reads(multi_->concatenated(), 300, 80, 3, 13);
@@ -713,7 +718,7 @@ TEST_F(ShardSessionTest, DynamicMultiDeviceSamBytesIdentical) {
 
 TEST_F(ShardSessionTest, PairedEndSamBytesIdentical) {
     auto mono = pipeline::MappingSession::from_multi(
-        genomics::MultiReference(*multi_));
+        genome());
     auto sharded =
         pipeline::MappingSession::from_rix(built_->manifest_path);
     const auto sim1 =
@@ -746,7 +751,7 @@ TEST_F(ShardSessionTest, BoundaryStraddlersDemotedIdentically) {
         }
     }
     auto mono = pipeline::MappingSession::from_multi(
-        genomics::MultiReference(*multi_));
+        genome());
     auto sharded =
         pipeline::MappingSession::from_rix(built_->manifest_path);
     pipeline::SamEmitter::Stats mono_stats;

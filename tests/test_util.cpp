@@ -1,11 +1,10 @@
-// util: PRNG determinism/uniformity, bit vector rank/select, packed DNA,
-// thread pool, CLI args, stats.
+// util: PRNG determinism/uniformity, bit vector rank, packed DNA,
+// thread pool, CLI args.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
-#include <numeric>
 #include <set>
 #include <stdexcept>
 
@@ -13,7 +12,6 @@
 #include "util/bitvector.hpp"
 #include "util/packed_dna.hpp"
 #include "util/prng.hpp"
-#include "util/stats.hpp"
 #include "util/threadpool.hpp"
 
 namespace {
@@ -21,7 +19,6 @@ namespace {
 using repute::util::Args;
 using repute::util::BitVector;
 using repute::util::PackedDna;
-using repute::util::summarize;
 using repute::util::ThreadPool;
 using repute::util::Xoshiro256;
 
@@ -71,17 +68,6 @@ TEST(Prng, UniformInUnitInterval) {
     EXPECT_NEAR(sum / 10'000, 0.5, 0.02);
 }
 
-TEST(Prng, LongJumpDecorrelatesStreams) {
-    Xoshiro256 a(7);
-    Xoshiro256 b = a;
-    b.long_jump();
-    int equal = 0;
-    for (int i = 0; i < 100; ++i) {
-        if (a() == b()) ++equal;
-    }
-    EXPECT_EQ(equal, 0);
-}
-
 // ------------------------------------------------------------- BitVector
 
 TEST(BitVector, RankMatchesNaiveCount) {
@@ -105,29 +91,6 @@ TEST(BitVector, RankMatchesNaiveCount) {
         }
     }
     EXPECT_EQ(bv.rank1(10'000), bv.count_ones());
-}
-
-TEST(BitVector, RankZeroComplement) {
-    BitVector bv(1000);
-    for (std::size_t i = 0; i < 1000; i += 3) bv.set(i);
-    bv.build_rank();
-    for (std::size_t i = 0; i <= 1000; i += 101) {
-        EXPECT_EQ(bv.rank0(i) + bv.rank1(i), i);
-    }
-}
-
-TEST(BitVector, SelectInvertsRank) {
-    Xoshiro256 rng(9);
-    BitVector bv(5000);
-    for (int i = 0; i < 800; ++i) bv.set(rng.bounded(5000));
-    bv.build_rank();
-    for (std::size_t k = 0; k < bv.count_ones(); k += 13) {
-        const std::size_t pos = bv.select1(k);
-        ASSERT_LT(pos, bv.size());
-        EXPECT_TRUE(bv.get(pos));
-        EXPECT_EQ(bv.rank1(pos), k);
-    }
-    EXPECT_EQ(bv.select1(bv.count_ones()), bv.size());
 }
 
 TEST(BitVector, AllOnesConstruction) {
@@ -165,7 +128,7 @@ TEST(PackedDna, CodeAtCrossesWordBoundaries) {
     for (auto& c : s) c = "ACGT"[rng.bounded(4)];
     const PackedDna dna{std::string_view(s)};
     for (std::size_t i = 0; i < s.size(); ++i) {
-        EXPECT_EQ(dna.char_at(i), s[i]) << "i=" << i;
+        EXPECT_EQ(repute::util::code_to_base(dna.code_at(i)), s[i]) << "i=" << i;
     }
 }
 
@@ -178,14 +141,6 @@ TEST(PackedDna, ExtractSubranges) {
     EXPECT_EQ(codes[2], 2u); // G
     EXPECT_EQ(codes[3], 2u); // G
     EXPECT_EQ(dna.to_string(8, 4), "ACGT");
-}
-
-TEST(PackedDna, ReverseComplement) {
-    const PackedDna dna{std::string_view("AACGT")};
-    EXPECT_EQ(dna.reverse_complement().to_string(), "ACGTT");
-    // Involution.
-    EXPECT_EQ(dna.reverse_complement().reverse_complement().to_string(),
-              "AACGT");
 }
 
 TEST(PackedDna, PushBackGrowsWords) {
@@ -271,33 +226,6 @@ TEST(Args, RejectsMalformedValues) {
     const Args args(3, argv);
     EXPECT_THROW((void)args.get_int("n", 0), std::invalid_argument);
     EXPECT_THROW((void)args.get_bool("n", false), std::invalid_argument);
-}
-
-// ----------------------------------------------------------------- Stats
-
-TEST(Stats, SummaryOfKnownSeries) {
-    const double values[] = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-    const auto s = summarize(values);
-    EXPECT_EQ(s.count, 8u);
-    EXPECT_DOUBLE_EQ(s.mean, 5.0);
-    EXPECT_DOUBLE_EQ(s.min, 2.0);
-    EXPECT_DOUBLE_EQ(s.max, 9.0);
-    EXPECT_DOUBLE_EQ(s.median, 4.5);
-    EXPECT_NEAR(s.stddev, 2.138, 1e-3);
-}
-
-TEST(Stats, EmptyAndSingle) {
-    EXPECT_EQ(summarize({}).count, 0u);
-    const double one[] = {3.5};
-    const auto s = summarize(one);
-    EXPECT_DOUBLE_EQ(s.mean, 3.5);
-    EXPECT_DOUBLE_EQ(s.median, 3.5);
-    EXPECT_DOUBLE_EQ(s.stddev, 0.0);
-}
-
-TEST(Stats, GeometricMean) {
-    const double values[] = {1.0, 4.0, 16.0};
-    EXPECT_NEAR(repute::util::geometric_mean(values), 4.0, 1e-9);
 }
 
 } // namespace

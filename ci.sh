@@ -9,8 +9,9 @@
 #                 by >=1.15x on modeled time)
 #   tsan          ThreadSanitizer build of the queue/scheduler-heavy
 #                 tests plus the streaming pipeline, the
-#                 double-buffered staging equivalence matrix and the
-#                 mapper executor (test_core, test_shard)
+#                 double-buffered staging equivalence matrix, the
+#                 mapper executor (test_core, test_shard) and the
+#                 concurrent index-open checksum pass (test_rix)
 #   asan          AddressSanitizer build of the index/filter hot paths
 #                 (rank-block and scratch-reuse pointer arithmetic), the
 #                 verification funnel, the SIMD differential harness
@@ -42,7 +43,8 @@
 #                 per-length-split oracle, .gz input byte-identical to
 #                 its plain twin (single-end, paired with one gz mate,
 #                 and through the daemon), the retired --read-length
-#                 flag refused by name, and test_mixed under TSan
+#                 flag and a misspelled option refused by name, and
+#                 test_mixed under TSan
 #   zliboff       -DREPUTE_ZLIB=OFF build: plain input keeps working and
 #                 gzip input is rejected with a clear error instead of
 #                 being misparsed
@@ -146,7 +148,7 @@ if has_tier tsan; then
           -DCMAKE_BUILD_TYPE=RelWithDebInfo "${LAUNCHER[@]}"
     cmake --build build-tsan -j "$JOBS" \
           --target test_ocl test_scheduler test_determinism test_pipeline \
-          test_xfer test_shard test_core
+          test_xfer test_shard test_core test_rix
     ./build-tsan/tests/test_ocl
     ./build-tsan/tests/test_scheduler
     ./build-tsan/tests/test_determinism
@@ -161,6 +163,9 @@ if has_tier tsan; then
     # the gather-side merge.
     ./build-tsan/tests/test_shard
     ./build-tsan/tests/test_core
+    # Index open: the section checksums of one container, or of every
+    # shard of a manifest, are verified on concurrent threads.
+    ./build-tsan/tests/test_rix
 fi
 
 if has_tier asan; then
@@ -480,6 +485,19 @@ PY
     fi
     grep -q -- "--read-length was removed" "$MIXED_TMP/pinned.log"
     echo "--read-length rejected by name"
+    # A misspelled option is refused by name (exit 2), not ignored with
+    # its default left in force.
+    set +e
+    "$R" map --dleta 3 --ref "$FIXDIR/ref.fa" --reads "$FIXDIR/mixed.fq" \
+         --out "$MIXED_TMP/misspelled.sam" 2>"$MIXED_TMP/misspelled.log"
+    MISSPELLED_STATUS=$?
+    set -e
+    if [[ "$MISSPELLED_STATUS" -ne 2 ]]; then
+        echo "FAIL: --dleta exited $MISSPELLED_STATUS, want 2" >&2
+        exit 1
+    fi
+    grep -q -- "unknown option --dleta" "$MIXED_TMP/misspelled.log"
+    echo "misspelled --dleta rejected by name"
 
     # The daemon serves heterogeneous-length gz requests too: the blob
     # ships compressed and the resident session inflates it.

@@ -16,8 +16,10 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "genomics/fastx.hpp"
@@ -48,7 +50,8 @@ commands:
   serve         run the persistent mapping daemon on a Unix socket
   client        submit reads to a running daemon
 
-run `repute <command> --help` for the command's options.
+run `repute <command> --help` for the command's options; an option
+the command does not know is refused (exit status 2).
 )";
 
 constexpr const char* kIndexUsage = R"(repute index build — precompute a mmap-able index container
@@ -101,6 +104,8 @@ pipeline:
                         reads bucket by length rounded up to a multiple
                         of N, padded virtually within a class
                         (default 16)
+  --insert-min/--insert-max
+                        paired-end insert bounds (default 200/600)
 devices:
   --platform NAME       system1 (i7 + 2x GTX590) | system2 (HiKey970)
   --devices LIST        comma-separated device names (default i7-2600)
@@ -162,6 +167,55 @@ options:
 struct CliError : std::runtime_error {
     using std::runtime_error::runtime_error;
 };
+
+/// A command line the command cannot accept as given: exit status 2,
+/// like a missing required option.
+struct UsageError : CliError {
+    using CliError::CliError;
+};
+
+// The options each command reads. Anything else is refused by name, so
+// a misspelled option fails instead of leaving its default in force.
+constexpr std::string_view kIndexOptions[] = {
+    "help",  "ref",    "out",          "sa-sample", "checkpoint",
+    "qgram", "shards", "shard-budget", "overlap",   "jobs"};
+/// session_config_from's knobs, shared by `map` and `serve`.
+constexpr std::string_view kSessionOptions[] = {
+    "smin",      "max-locations", "no-simd",         "platform",
+    "devices",   "schedule",      "xfer-gbps",       "xfer-latency-us",
+    "no-double-buffer"};
+constexpr std::string_view kMapOptions[] = {
+    "help",        "ref",          "index",       "reads",
+    "reads2",      "out",          "delta",       "cigar",
+    "batch-size",  "queue-depth",  "threads",     "on-malformed",
+    "length-grid", "insert-min",   "insert-max",  "trace",
+    "xfer-trace",
+    "read-length"}; // refused with its own message by reject_read_length
+constexpr std::string_view kServeOptions[] = {
+    "help", "index", "ref", "socket", "handlers", "pending", "mappers"};
+constexpr std::string_view kClientOptions[] = {
+    "help",        "socket",      "reads",       "reads2",
+    "out",         "delta",       "cigar",       "map-workers",
+    "batch-size",  "queue-depth", "length-grid", "on-malformed",
+    "insert-min",  "insert-max",  "tenant",      "read-length"};
+
+/// Throws UsageError naming every option that neither `known` nor
+/// `shared` declares.
+void reject_unknown(const util::Args& args, const std::string& command,
+                    std::span<const std::string_view> known,
+                    std::span<const std::string_view> shared = {}) {
+    std::vector<std::string_view> declared(known.begin(), known.end());
+    declared.insert(declared.end(), shared.begin(), shared.end());
+    const auto unknown = args.unknown(declared);
+    if (unknown.empty()) return;
+    std::string names;
+    for (const auto& name : unknown) {
+        names += (names.empty() ? "--" : ", --") + name;
+    }
+    throw UsageError("repute " + command + ": unknown option" +
+                     (unknown.size() > 1 ? "s " : " ") + names +
+                     " (see `repute " + command + " --help`)");
+}
 
 std::vector<std::string> split_csv(const std::string& csv) {
     std::vector<std::string> out;
@@ -304,6 +358,7 @@ private:
 // ------------------------------------------------------- index build
 
 int run_index_build(const util::Args& args) {
+    reject_unknown(args, "index build", kIndexOptions);
     const std::string fasta = args.get_string("ref", "");
     const std::string out_path = args.get_string("out", "");
     if (args.has("help") || fasta.empty() || out_path.empty()) {
@@ -371,6 +426,7 @@ int run_index_build(const util::Args& args) {
 
 int run_map(const util::Args& args) {
     reject_read_length(args);
+    reject_unknown(args, "map", kMapOptions, kSessionOptions);
     const bool has_source = args.has("ref") || args.has("index");
     const std::string reads_path = args.get_string("reads", "");
     if (args.has("help") || !has_source || reads_path.empty()) {
@@ -452,6 +508,7 @@ void handle_shutdown_signal(int) {
 }
 
 int run_serve(const util::Args& args) {
+    reject_unknown(args, "serve", kServeOptions, kSessionOptions);
     const std::string socket_path = args.get_string("socket", "");
     const bool has_source = args.has("ref") || args.has("index");
     if (args.has("help") || socket_path.empty() || !has_source) {
@@ -505,6 +562,7 @@ int run_serve(const util::Args& args) {
 
 int run_client_cmd(const util::Args& args) {
     reject_read_length(args);
+    reject_unknown(args, "client", kClientOptions);
     const std::string socket_path = args.get_string("socket", "");
     const std::string reads_path = args.get_string("reads", "");
     if (args.has("help") || socket_path.empty() || reads_path.empty()) {
@@ -584,6 +642,9 @@ int main(int argc, char** argv) {
         const bool help = argc >= 2 && util::Args(argc, argv).has("help");
         std::fputs(kUsage, help ? stdout : stderr);
         return help ? 0 : 2;
+    } catch (const UsageError& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "repute: %s\n", e.what());
         return 1;

@@ -1,9 +1,14 @@
 #include "index/rix.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <numeric>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "index/qgram_table.hpp"
@@ -110,6 +115,109 @@ void validate_header(const Header& h, const std::string& path) {
     }
 }
 
+const char* const kSectionNames[rix::kSectionCount] = {
+    "rank blocks", "SA mark bits",   "SA samples", "q-gram ranges",
+    "ref words",   "sequence names", "sequence starts"};
+
+/// A mapped container whose header and section bounds have passed but
+/// whose section checksums have not been verified yet.
+struct Unverified {
+    util::MmapFile map;
+    Header header;
+};
+
+/// Maps `path` and runs every check but the section checksums.
+Unverified map_unverified(const std::string& path) {
+    Unverified opened{util::MmapFile::open_readonly(path), {}};
+    const util::MmapFile& map = opened.map;
+    if (map.size() < sizeof(Header)) {
+        throw std::runtime_error("rix: " + path +
+                                 " is too small to be a .rix container");
+    }
+    Header& h = opened.header;
+    std::memcpy(&h, map.data(), sizeof(h));
+
+    validate_header(h, path);
+    if (h.file_bytes != map.size()) {
+        throw std::runtime_error("rix: " + path + " is truncated (" +
+                                 std::to_string(map.size()) + " of " +
+                                 std::to_string(h.file_bytes) + " bytes)");
+    }
+    for (std::uint32_t s = 0; s < rix::kSectionCount; ++s) {
+        const Section& sec = h.sections[s];
+        if (sec.offset % rix::kPageBytes != 0 ||
+            sec.offset + sec.bytes > map.size() ||
+            sec.offset + sec.bytes < sec.offset) {
+            throw std::runtime_error(
+                std::string("rix: section out of bounds (") +
+                kSectionNames[s] + ")");
+        }
+    }
+    return opened;
+}
+
+/// One section's FNV-1a check: which container and section it is, its
+/// mapped bytes and the checksum the header promises.
+struct ChecksumJob {
+    const std::byte* data;
+    std::uint64_t bytes;
+    std::uint64_t expected;
+    std::size_t container;
+    std::uint32_t section;
+};
+
+/// Hashes every job on min(jobs, hardware threads) threads, largest
+/// first so the longest chain starts at once, and returns the index of
+/// the first failing job in list order (jobs.size() when all pass).
+/// The threads only read the mapping and each writes its own verdict
+/// slot, read after the joins, so the result does not depend on their
+/// interleaving.
+std::size_t first_bad_checksum(const std::vector<ChecksumJob>& jobs) {
+    std::vector<std::size_t> order(jobs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return jobs[a].bytes > jobs[b].bytes;
+                     });
+    std::vector<char> bad(jobs.size(), 0);
+    std::atomic<std::size_t> next{0};
+    const auto drain = [&] {
+        for (std::size_t k = next++; k < order.size(); k = next++) {
+            const ChecksumJob& job = jobs[order[k]];
+            bad[order[k]] =
+                util::fnv1a64(job.data, job.bytes) != job.expected;
+        }
+    };
+
+    const std::size_t threads = std::min<std::size_t>(
+        jobs.size(), std::max(1u, std::thread::hardware_concurrency()));
+    std::vector<std::thread> helpers;
+    try {
+        for (std::size_t t = 1; t < threads; ++t) {
+            helpers.emplace_back(drain);
+        }
+    } catch (const std::system_error&) {
+        // Fewer threads than asked for: the ones running drain the
+        // whole queue anyway.
+    }
+    drain();
+    for (auto& helper : helpers) helper.join();
+    return static_cast<std::size_t>(
+        std::find(bad.begin(), bad.end(), 1) - bad.begin());
+}
+
+/// Runs `fn` and prepends `prefix` to any runtime_error it throws
+/// (an empty prefix rethrows the error untouched).
+template <typename Fn>
+auto with_prefix(const std::string& prefix, Fn&& fn) {
+    try {
+        return fn();
+    } catch (const std::runtime_error& e) {
+        if (prefix.empty()) throw;
+        throw std::runtime_error(prefix + e.what());
+    }
+}
+
 } // namespace
 
 namespace rix {
@@ -212,43 +320,56 @@ void write_rix(const std::string& path,
 }
 
 MappedIndex MappedIndex::open(const std::string& path) {
+    return std::move(open_all({path}, {std::string{}}).front());
+}
+
+std::vector<MappedIndex> MappedIndex::open_all(
+    const std::vector<std::string>& paths,
+    const std::vector<std::string>& error_prefixes) {
+    if (error_prefixes.size() != paths.size()) {
+        throw std::invalid_argument(
+            "rix: open_all wants one error prefix per path");
+    }
+    std::vector<Unverified> opened;
+    opened.reserve(paths.size());
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+        opened.push_back(with_prefix(
+            error_prefixes[i], [&] { return map_unverified(paths[i]); }));
+    }
+
+    std::vector<ChecksumJob> jobs;
+    for (std::size_t i = 0; i < opened.size(); ++i) {
+        for (std::uint32_t s = 0; s < rix::kSectionCount; ++s) {
+            const Section& sec = opened[i].header.sections[s];
+            jobs.push_back({opened[i].map.data() + sec.offset, sec.bytes,
+                            sec.checksum, i, s});
+        }
+    }
+    const std::size_t bad = first_bad_checksum(jobs);
+    if (bad < jobs.size()) {
+        throw std::runtime_error(
+            error_prefixes[jobs[bad].container] +
+            "rix: checksum mismatch in section " +
+            kSectionNames[jobs[bad].section] + " — the file is corrupt");
+    }
+
+    std::vector<MappedIndex> out;
+    out.reserve(opened.size());
+    for (std::size_t i = 0; i < opened.size(); ++i) {
+        out.push_back(with_prefix(error_prefixes[i], [&] {
+            return from_verified(std::move(opened[i].map),
+                                 opened[i].header, paths[i]);
+        }));
+    }
+    return out;
+}
+
+MappedIndex MappedIndex::from_verified(util::MmapFile map,
+                                       const rix::Header& h,
+                                       const std::string& path) {
     MappedIndex mi;
-    mi.map_ = util::MmapFile::open_readonly(path);
+    mi.map_ = std::move(map);
     mi.path_ = path;
-
-    if (mi.map_.size() < sizeof(Header)) {
-        throw std::runtime_error("rix: " + path +
-                                 " is too small to be a .rix container");
-    }
-    Header h;
-    std::memcpy(&h, mi.map_.data(), sizeof(h));
-
-    validate_header(h, path);
-    if (h.file_bytes != mi.map_.size()) {
-        throw std::runtime_error("rix: " + path + " is truncated (" +
-                                 std::to_string(mi.map_.size()) + " of " +
-                                 std::to_string(h.file_bytes) + " bytes)");
-    }
-
-    static const char* kSectionNames[rix::kSectionCount] = {
-        "rank blocks", "SA mark bits",   "SA samples", "q-gram ranges",
-        "ref words",   "sequence names", "sequence starts"};
-    for (std::uint32_t s = 0; s < rix::kSectionCount; ++s) {
-        const Section& sec = h.sections[s];
-        if (sec.offset % rix::kPageBytes != 0 ||
-            sec.offset + sec.bytes > mi.map_.size() ||
-            sec.offset + sec.bytes < sec.offset) {
-            throw std::runtime_error(
-                std::string("rix: section out of bounds (") +
-                kSectionNames[s] + ")");
-        }
-        if (util::fnv1a64(mi.map_.data() + sec.offset, sec.bytes) !=
-            sec.checksum) {
-            throw std::runtime_error(
-                std::string("rix: checksum mismatch in section ") +
-                kSectionNames[s] + " — the file is corrupt");
-        }
-    }
 
     const auto span_u64 = [&](rix::SectionId s) {
         const Section& sec = h.sections[s];

@@ -1,5 +1,6 @@
 #include "index/rixm.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -7,6 +8,7 @@
 #include <stdexcept>
 
 #include "index/fm_index.hpp"
+#include "util/packed_dna.hpp"
 #include "util/threadpool.hpp"
 
 namespace repute::index {
@@ -75,6 +77,31 @@ std::string hex_of(std::uint64_t v) {
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(v));
     return buf;
+}
+
+/// ORs bases [from, from + len) of `src` into the zeroed packed
+/// buffer `dst` at base offset `at`: extract_words aligns each chunk
+/// to a word boundary, then a shift/OR places it, 32 bases per step.
+void splice_words(const util::PackedDna& src, std::size_t from,
+                  std::size_t len, std::size_t at,
+                  std::vector<std::uint64_t>& dst) {
+    constexpr std::size_t kChunkWords = 512;
+    constexpr std::size_t kChunkBases = kChunkWords * 32;
+    std::uint64_t chunk[kChunkWords];
+    const unsigned shift = static_cast<unsigned>(at & 31) * 2;
+    for (std::size_t done = 0; done < len; done += kChunkBases) {
+        const std::size_t n = std::min(kChunkBases, len - done);
+        src.extract_words(from + done, n, chunk);
+        // Chunks are whole words long, so every chunk keeps `shift`.
+        const std::size_t w0 = (at + done) >> 5;
+        for (std::size_t w = 0; w < util::PackedDna::packed_word_count(n);
+             ++w) {
+            dst[w0 + w] |= chunk[w] << shift;
+            if (shift != 0 && w0 + w + 1 < dst.size()) {
+                dst[w0 + w + 1] |= chunk[w] >> (64 - shift);
+            }
+        }
+    }
 }
 
 } // namespace
@@ -177,8 +204,11 @@ ShardedIndex ShardedIndex::open(const std::string& path) {
         malformed(path, "shard owned ranges do not cover the text");
     }
 
-    // Map and validate every shard.
+    // The cheap checks of every shard first: file present, header
+    // valid and pinned by the manifest. Then one concurrent checksum
+    // pass over all shards' sections.
     const std::string dir = manifest_dir(path);
+    std::vector<std::string> shard_paths, contexts;
     for (std::size_t i = 0; i < shard_lines.size(); ++i) {
         const ShardLine& sl = shard_lines[i];
         const std::string shard_path =
@@ -206,20 +236,21 @@ ShardedIndex ShardedIndex::open(const std::string& path) {
                 "mismatch) — the shard was rebuilt without its "
                 "manifest; re-run `repute index build --shards`");
         }
-        auto mapped = [&]() -> MappedIndex {
-            try {
-                return MappedIndex::open(shard_path);
-            } catch (const std::runtime_error& e) {
-                throw std::runtime_error(ctx + e.what());
-            }
-        }();
-        Shard shard{std::move(mapped), sl.text_offset, sl.left, sl.owned,
-                    sl.right};
+        shard_paths.push_back(shard_path);
+        contexts.push_back(ctx);
+    }
+    auto mapped = MappedIndex::open_all(shard_paths, contexts);
+    for (std::size_t i = 0; i < shard_lines.size(); ++i) {
+        const ShardLine& sl = shard_lines[i];
+        Shard shard{std::move(mapped[i]), sl.text_offset, sl.left,
+                    sl.owned, sl.right};
+        // Checked on the mapping itself: the splice below reads the
+        // owned range out of it.
         const std::uint64_t expect_len =
             std::uint64_t{sl.left} + sl.owned + sl.right;
         if (shard.mapped.fm().size() != expect_len) {
             throw std::runtime_error(
-                ctx + shard_path + " text length " +
+                contexts[i] + shard_paths[i] + " text length " +
                 std::to_string(shard.mapped.fm().size()) +
                 " disagrees with the manifest (" +
                 std::to_string(expect_len) + ")");
@@ -227,17 +258,19 @@ ShardedIndex ShardedIndex::open(const std::string& path) {
         si.shards_.push_back(std::move(shard));
     }
 
-    // Reassemble the combined reference from the owned regions — the
-    // emitter, paired-end scorer and accuracy protocols all want real
-    // contig names over one concatenated text. O(n) once at open.
-    std::vector<std::uint8_t> codes(total);
+    // The combined reference: each shard's owned range spliced from
+    // its mapped words into one packed buffer — the emitter, paired-end
+    // scorer and accuracy protocols all want real contig names over
+    // one concatenated text.
+    std::vector<std::uint64_t> words(
+        util::PackedDna::packed_word_count(total));
     for (const Shard& s : si.shards_) {
-        s.mapped.multi().concatenated().sequence().extract(
-            s.own_lo(), s.owned_length, codes.data() + s.base());
+        splice_words(s.mapped.multi().concatenated().sequence(),
+                     s.own_lo(), s.owned_length, s.base(), words);
     }
     genomics::Reference combined(
         combined_name.empty() ? "multi" : combined_name,
-        util::PackedDna(std::span<const std::uint8_t>(codes)));
+        util::PackedDna::from_words(std::move(words), total));
     si.multi_ = std::make_unique<genomics::MultiReference>(
         std::move(combined), std::move(names), std::move(starts));
     return si;

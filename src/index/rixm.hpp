@@ -27,6 +27,13 @@
 // moves as a unit. Missing files, foreign files, version skew and
 // rebuilt-without-the-manifest shards all fail with distinct,
 // actionable errors (tests in test_rix.cpp).
+//
+// Open checks every shard cheaply first (file present, header valid and
+// pinned, section bounds), then verifies the
+// sections of all shards in one concurrent checksum pass
+// (MappedIndex::open_all). The combined reference is then spliced from
+// each shard's owned range of mapped packed words, a shift/OR per word;
+// no per-base pass and no byte-per-base copy of the text.
 
 #include <cstdint>
 #include <string>
@@ -77,10 +84,12 @@ public:
     };
 
     /// Parses `path`, maps every shard and validates the set:
-    /// missing shard file, non-.rix shard, .rix version skew and a
+    /// missing shard file, non-.rix shard, .rix version skew, a
     /// header-checksum mismatch (shard rebuilt without the manifest)
-    /// each throw std::runtime_error with a distinct message naming the
-    /// shard.
+    /// and a corrupt section each throw std::runtime_error with a
+    /// distinct message naming the shard. Cheap checks of all shards
+    /// run before any section checksum, so the first failing check in
+    /// that order is the one reported.
     static ShardedIndex open(const std::string& path);
 
     ShardedIndex(ShardedIndex&&) noexcept = default;

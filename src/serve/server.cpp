@@ -193,6 +193,12 @@ void Server::handle_connection(int fd) {
 
         FrameStreambuf sam_buf(fd);
         std::ostream sam_out(&sam_buf);
+        // A failed frame write (the client has gone) must stop the
+        // request: without badbit exceptions the ostream swallows the
+        // throw and every remaining batch is mapped for nobody. With
+        // them it reaches the pipeline's writer, whose first-error path
+        // closes the reader.
+        sam_out.exceptions(std::ios::badbit);
         const auto response = session_->map(request, sam_out);
         sam_out.flush();
 

@@ -1,5 +1,6 @@
 #include "util/args.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <stdexcept>
 
@@ -35,6 +36,18 @@ Args::Args(int argc, const char* const* argv) {
 
 bool Args::has(std::string_view name) const {
     return values_.find(name) != values_.end();
+}
+
+std::vector<std::string> Args::unknown(
+    std::span<const std::string_view> known) const {
+    std::vector<std::string> out;
+    for (const auto& entry : values_) {
+        if (std::find(known.begin(), known.end(), entry.first) ==
+            known.end()) {
+            out.push_back(entry.first);
+        }
+    }
+    return out;
 }
 
 std::string Args::get_string(std::string_view name,

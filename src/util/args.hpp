@@ -1,10 +1,12 @@
 #pragma once
-// Tiny declarative CLI argument parser for the examples and bench
-// harnesses: `--flag`, `--key value` and `--key=value` forms.
+// Tiny declarative CLI argument parser for the `repute` CLI, the
+// examples and bench harnesses: `--flag`, `--key value` and
+// `--key=value` forms.
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,6 +27,12 @@ public:
                          std::int64_t default_value) const;
     double get_double(std::string_view name, double default_value) const;
     bool get_bool(std::string_view name, bool default_value) const;
+
+    /// The `--name`s present that are not in `known`, sorted — what a
+    /// command refuses so that a misspelled option is not silently
+    /// ignored.
+    std::vector<std::string> unknown(
+        std::span<const std::string_view> known) const;
 
     /// Positional (non --key) tokens, in order.
     const std::vector<std::string>& positional() const noexcept {

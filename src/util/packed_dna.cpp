@@ -2,6 +2,7 @@
 
 #include <array>
 #include <stdexcept>
+#include <utility>
 
 namespace repute::util {
 
@@ -47,6 +48,18 @@ PackedDna PackedDna::view_of(std::span<const std::uint64_t> words,
     PackedDna dna;
     dna.size_ = size;
     dna.words_ = words;
+    return dna;
+}
+
+PackedDna PackedDna::from_words(std::vector<std::uint64_t> words,
+                                std::size_t size) {
+    if (words.size() != packed_word_count(size)) {
+        throw std::runtime_error("PackedDna: adopted word-count mismatch");
+    }
+    PackedDna dna;
+    dna.size_ = size;
+    dna.owned_words_ = std::move(words);
+    dna.words_ = dna.owned_words_;
     return dna;
 }
 

@@ -43,6 +43,14 @@ public:
     static PackedDna view_of(std::span<const std::uint64_t> words,
                              std::size_t size);
 
+    /// Takes ownership of already-packed words (the words() layout):
+    /// `words` must hold exactly packed_word_count(size) entries with
+    /// a zero-padded tail. How a sequence assembled word by word (the
+    /// sharded index's combined reference) becomes a PackedDna without
+    /// a per-base pass.
+    static PackedDna from_words(std::vector<std::uint64_t> words,
+                                std::size_t size);
+
     // Move-only: a memberwise copy would leave words_ pointing into
     // the source's buffer.
     PackedDna(const PackedDna&) = delete;

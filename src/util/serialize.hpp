@@ -8,8 +8,11 @@
 namespace repute::util {
 
 /// Not cryptographic; it exists to catch truncation, bit rot and torn
-/// writes at load time, cheaply enough to run over every mapped section
-/// (one pass at memory bandwidth).
+/// writes at load time. It is not free: each byte is one xor and one
+/// 64-bit multiply on a serial dependency chain, about 0.6 GB/s on one
+/// core of a 4-vCPU Xeon VM (a 15.7 MB container took ~25 ms), well
+/// under memory bandwidth. A section cannot be split across threads,
+/// so MappedIndex::open hashes whole sections concurrently instead.
 inline std::uint64_t fnv1a64(const void* data, std::size_t bytes,
                              std::uint64_t seed =
                                  0xCBF29CE484222325ULL) noexcept {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -176,16 +177,72 @@ TEST(RixRejects, TruncatedFile) {
     std::remove(path.c_str());
 }
 
+/// The section names of the checksum-mismatch message, in file order.
+const char* const kSectionNames[index::rix::kSectionCount] = {
+    "rank blocks", "SA mark bits",   "SA samples", "q-gram ranges",
+    "ref words",   "sequence names", "sequence starts"};
+
+std::string section_mismatch(std::uint32_t section) {
+    return std::string("rix: checksum mismatch in section ") +
+           kSectionNames[section] + " — the file is corrupt";
+}
+
+/// `bytes` with one bit flipped in the middle of section `section`.
+std::string flip_in_section(std::string bytes,
+                            const index::rix::Header& header,
+                            std::uint32_t section) {
+    const auto& sec = header.sections[section];
+    const std::size_t target = sec.offset + sec.bytes / 2;
+    bytes.at(target) = static_cast<char>(bytes[target] ^ 0x10);
+    return bytes;
+}
+
+/// Opens `path` several times (the checksum pass is concurrent) and
+/// requires the exact same message from every attempt.
+template <typename Open>
+void expect_exact_error(const Open& open, const std::string& want) {
+    for (int attempt = 0; attempt < 5; ++attempt) {
+        try {
+            open();
+            FAIL() << "open did not throw; expected \"" << want << "\"";
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()), want)
+                << "attempt " << attempt;
+        }
+    }
+}
+
 TEST(RixRejects, BitFlipInSectionPayload) {
     const std::string path = write_valid_rix("flip_section");
-    std::string bytes = slurp(path);
+    const std::string clean = slurp(path);
+    const index::rix::Header header = index::rix::read_header(path);
     // Page 0 is the header; the first section (rank blocks, never
     // empty) starts at page 1.
+    std::string bytes = clean;
     const std::size_t target = index::rix::kPageBytes + 8;
     ASSERT_LT(target, bytes.size());
     bytes[target] = static_cast<char>(bytes[target] ^ 0x10);
     spill(path, bytes);
     expect_open_throws_with(path, "checksum mismatch in section");
+
+    // Every non-empty section, each on its own: the message names it.
+    std::size_t flipped = 0;
+    for (std::uint32_t s = 0; s < index::rix::kSectionCount; ++s) {
+        if (header.sections[s].bytes == 0) continue;
+        spill(path, flip_in_section(clean, header, s));
+        expect_exact_error([&] { index::MappedIndex::open(path); },
+                           section_mismatch(s));
+        ++flipped;
+    }
+    EXPECT_EQ(flipped, std::size_t{index::rix::kSectionCount});
+
+    // Two bad sections: the first in file order is reported, although
+    // the larger SA samples section is hashed first.
+    spill(path, flip_in_section(
+                    flip_in_section(clean, header, index::rix::kSaSamples),
+                    header, index::rix::kSaMarkBits));
+    expect_exact_error([&] { index::MappedIndex::open(path); },
+                       section_mismatch(index::rix::kSaMarkBits));
     std::remove(path.c_str());
 }
 
@@ -291,6 +348,55 @@ TEST(RixmManifest, OpensAndReassemblesTheReference) {
     EXPECT_GT(sharded.mapped_bytes(), 0u);
     EXPECT_GT(sharded.resident_bytes(), 0u);
     remove_sharded(fx);
+
+    // Contig lengths that are not multiples of 32 put shard bases and
+    // owned lengths off word boundaries, so the packed splice has to
+    // shift. A contig shorter than a word, one exactly a word long and
+    // an all-aligned layout cover the edges.
+    const std::vector<std::vector<std::size_t>> layouts = {
+        {1'001, 2'017, 515, 3'333, 777},
+        {32, 5, 4'096, 1'000, 63, 2'049},
+        {64, 64, 64, 96},
+    };
+    genomics::GenomeSimConfig gconfig;
+    gconfig.length = 12'000;
+    gconfig.seed = 29;
+    const std::string text =
+        genomics::simulate_genome(gconfig).sequence().to_string();
+    for (std::size_t layout = 0; layout < layouts.size(); ++layout) {
+        std::vector<genomics::FastaRecord> records;
+        std::size_t at = 0;
+        for (const std::size_t len : layouts[layout]) {
+            records.push_back(
+                {"ctg" + std::to_string(records.size()),
+                 text.substr(at, len)});
+            at += len;
+        }
+        const genomics::MultiReference pieces(records);
+        for (const std::uint32_t shards : {2u, 3u, 4u}) {
+            index::ShardBuildConfig config;
+            config.plan.shard_count = shards;
+            config.plan.overlap = 40;
+            const std::string tag = "unaligned_" + std::to_string(layout) +
+                                    "_" + std::to_string(shards);
+            const auto built = index::build_sharded_index(
+                pieces, testing::TempDir() + "repute_test_" + tag + ".rixm",
+                config);
+            const auto opened = index::ShardedIndex::open(
+                built.manifest_path);
+            EXPECT_EQ(opened.shards().size(), shards) << tag;
+            const auto& got = opened.multi().concatenated().sequence();
+            const auto& want = pieces.concatenated().sequence();
+            EXPECT_EQ(got.to_string(), want.to_string()) << tag;
+            // The spliced words, padding included, equal the packed
+            // original's.
+            EXPECT_TRUE(std::equal(got.words().begin(), got.words().end(),
+                                   want.words().begin(),
+                                   want.words().end()))
+                << tag;
+            remove_sharded({built.manifest_path, built.shard_paths});
+        }
+    }
 }
 
 TEST(RixmRejects, MissingShardFile) {
@@ -324,6 +430,37 @@ TEST(RixmRejects, ShardVersionSkew) {
     spill(fx.shard_paths[1], bytes);
     expect_sharded_open_throws_with(fx.manifest, "unsupported version");
     expect_sharded_open_throws_with(fx.manifest, "shard 1");
+    remove_sharded(fx);
+}
+
+TEST(RixmRejects, BitFlipInLastShardSection) {
+    // A corrupt section in the last shard is named with its shard, the
+    // same way on every open; with a second corrupt shard before it,
+    // the earlier shard is the one reported.
+    const ShardedFixture fx = write_valid_sharded("flip_shard");
+    const std::string& last = fx.shard_paths.back();
+    const std::string clean = slurp(last);
+    const index::rix::Header header = index::rix::read_header(last);
+    const std::string ctx = "rixm: " + fx.manifest + " shard " +
+                            std::to_string(fx.shard_paths.size() - 1) +
+                            ": ";
+    for (std::uint32_t s = 0; s < index::rix::kSectionCount; ++s) {
+        if (header.sections[s].bytes == 0) continue;
+        spill(last, flip_in_section(clean, header, s));
+        expect_exact_error(
+            [&] { index::ShardedIndex::open(fx.manifest); },
+            ctx + section_mismatch(s));
+    }
+
+    spill(last, flip_in_section(clean, header, index::rix::kRankBlocks));
+    const std::string& first = fx.shard_paths.front();
+    const index::rix::Header first_header = index::rix::read_header(first);
+    spill(first, flip_in_section(slurp(first), first_header,
+                                 index::rix::kSeqStarts));
+    expect_exact_error(
+        [&] { index::ShardedIndex::open(fx.manifest); },
+        "rixm: " + fx.manifest + " shard 0: " +
+            section_mismatch(index::rix::kSeqStarts));
     remove_sharded(fx);
 }
 

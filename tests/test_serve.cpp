@@ -21,6 +21,8 @@
 #include "genomics/multi_reference.hpp"
 #include "genomics/pair_sim.hpp"
 #include "genomics/read_sim.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "pipeline/mapping_api.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -75,6 +77,12 @@ protected:
         session_ = pipeline::MappingSession::from_multi(
             genomics::MultiReference(std::move(genome)), sconfig);
 
+        start_server(2);
+    }
+
+    void TearDown() override { stop_server(); }
+
+    void start_server(std::size_t handlers) {
         // One socket per test process: ctest -j runs every TEST as its
         // own process, and a shared path lets one test's client reach
         // another test's server. Test name + pid keeps it unique and
@@ -84,17 +92,36 @@ protected:
             testing::TempDir() + "repute_" +
             testing::UnitTest::GetInstance()->current_test_info()->name() +
             "_" + std::to_string(::getpid()) + ".sock";
-        server_config.handlers = 2;
+        server_config.handlers = handlers;
         server_ = std::make_unique<serve::Server>(*session_,
                                                   server_config);
         server_thread_ = std::thread([this] { served_ = server_->run(); });
     }
 
-    void TearDown() override {
+    void stop_server() {
         if (server_thread_.joinable()) {
             server_->stop();
             server_thread_.join();
         }
+        server_.reset(); // unlinks the socket before a restart binds it
+    }
+
+    /// Sends `wire` on a raw connection and hangs up without reading
+    /// any of the reply.
+    void send_and_hang_up(const serve::WireRequest& wire) {
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, server_->socket_path().c_str(),
+                     sizeof(addr.sun_path) - 1);
+        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        ASSERT_GE(fd, 0);
+        ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                            sizeof(addr)),
+                  0);
+        const std::string payload = serve::encode_request(wire);
+        serve::write_frame(fd, serve::FrameType::Request, payload.data(),
+                           payload.size());
+        ::close(fd);
     }
 
     serve::WireRequest single_request(const std::string& tenant) const {
@@ -202,22 +229,46 @@ TEST_F(ServeTest, VanishedClientDoesNotKillServer) {
     // first SAM write hits a closed socket. That must fail the request,
     // not raise SIGPIPE in the daemon.
     const auto wire = single_request("gone");
-    {
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, server_->socket_path().c_str(),
-                     sizeof(addr.sun_path) - 1);
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        ASSERT_GE(fd, 0);
-        ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                            sizeof(addr)),
-                  0);
-        const std::string payload = serve::encode_request(wire);
-        serve::write_frame(fd, serve::FrameType::Request, payload.data(),
-                           payload.size());
-        ::close(fd);
-    }
+    send_and_hang_up(wire);
     EXPECT_EQ(via_socket(wire), one_shot(wire));
+}
+
+TEST_F(ServeTest, VanishedClientStopsItsRequestMapping) {
+    // One handler: a request still mapping for a client that has gone
+    // would hold up the next request behind it.
+    stop_server();
+    start_server(1);
+
+    genomics::ReadSimConfig rconfig;
+    rconfig.n_reads = 2'000;
+    rconfig.read_length = 60;
+    rconfig.max_errors = 3;
+    rconfig.seed = 501;
+    serve::WireRequest big = single_request("gone");
+    big.reads = fastq_text(genomics::simulate_reads(
+                               session_->multi().concatenated(), rconfig)
+                               .batch);
+    big.batch_size = 16; // 125 batches; the first SAM chunk fills early
+    serve::WireRequest one = single_request("next");
+    one.reads = single_fastq_.substr(0, single_fastq_.find("\n@") + 1);
+    const std::string want_one = one_shot(one);
+
+    obs::TraceSession metrics;
+    send_and_hang_up(big);
+    // Served by the same handler once the vanished request is over.
+    EXPECT_EQ(via_socket(one), want_one);
+    stop_server(); // the handler counts a request after its Done frame
+
+    auto& registry = metrics.registry();
+    EXPECT_EQ(registry.counter("serve.requests_failed").value(), 1u);
+    EXPECT_EQ(registry.counter("serve.requests_ok").value(), 1u);
+    // Every read the kernel maps is one histogram sample; one of them
+    // is the one-read request's.
+    const std::uint64_t mapped =
+        registry.histogram("kernel.candidates_per_read").snapshot().count;
+    ASSERT_GE(mapped, 1u);
+    EXPECT_LT(mapped - 1, rconfig.n_reads)
+        << "the vanished client's request was mapped to the end";
 }
 
 TEST_F(ServeTest, StopDrainsAndReportsServedCount) {

@@ -7,6 +7,9 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/args.hpp"
 #include "util/bitvector.hpp"
@@ -154,6 +157,20 @@ TEST(PackedDna, PushBackGrowsWords) {
     }
 }
 
+TEST(PackedDna, FromWordsAdoptsPackedWords) {
+    const PackedDna packed(
+        std::string_view("ACGTTGCAACGTACGTAACCGGTTACGTACGTTT"));
+    std::vector<std::uint64_t> words(packed.words().begin(),
+                                     packed.words().end());
+    const PackedDna adopted = PackedDna::from_words(words, packed.size());
+    EXPECT_FALSE(adopted.is_view());
+    EXPECT_EQ(adopted.to_string(), packed.to_string());
+    EXPECT_EQ(adopted.heap_bytes(), words.size() * sizeof(std::uint64_t));
+    words.push_back(0);
+    EXPECT_THROW((void)PackedDna::from_words(words, packed.size()),
+                 std::runtime_error);
+}
+
 // ------------------------------------------------------------ ThreadPool
 
 TEST(ThreadPool, RunsAllIterations) {
@@ -219,6 +236,17 @@ TEST(Args, DefaultsWhenAbsent) {
     EXPECT_EQ(args.get_int("missing", 17), 17);
     EXPECT_EQ(args.get_string("missing", "d"), "d");
     EXPECT_FALSE(args.get_bool("missing", false));
+}
+
+TEST(Args, ListsUnknownNames) {
+    const char* argv[] = {"prog", "--delta", "3", "--dleta=4", "pos",
+                          "--b",  "--a"};
+    const Args args(7, argv);
+    constexpr std::string_view known[] = {"delta", "out"};
+    EXPECT_EQ(args.unknown(known),
+              (std::vector<std::string>{"a", "b", "dleta"}));
+    constexpr std::string_view all[] = {"a", "b", "delta", "dleta"};
+    EXPECT_TRUE(args.unknown(all).empty());
 }
 
 TEST(Args, RejectsMalformedValues) {

@@ -4,7 +4,8 @@
 //   * filtration ablation: uniform vs heuristic (CORAL) vs full OSS vs
 //     REPUTE's memory-optimized DP — time AND produced candidate count;
 //   * verification ablation: Myers bit-vector vs banded DP vs full DP;
-//   * CIGAR annotation: the banded traceback SAM output pays per mapping;
+//   * CIGAR annotation: the bit-vector traceback SAM output pays per
+//     mapping;
 //   * index primitives: exact backward search, locate, approximate
 //     search tree growth with the error budget (the Yara cost driver);
 //   * suffix-array construction.
@@ -184,7 +185,10 @@ void BM_Cigar_Annotate(benchmark::State& state) {
             w.reference, sim.batch.reads[r], mappings[r], delta));
     }
 }
-BENCHMARK(BM_Cigar_Annotate)->Args({100, 5})->Args({150, 7});
+BENCHMARK(BM_Cigar_Annotate)
+    ->Args({100, 5})
+    ->Args({150, 7})
+    ->Args({512, 15});
 
 // ---------------------------------------------- verification funnel
 

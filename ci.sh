@@ -15,7 +15,7 @@
 #   asan          AddressSanitizer build of the index/filter hot paths
 #                 (rank-block and scratch-reuse pointer arithmetic), the
 #                 verification funnel, the SIMD differential harness
-#                 and the banded CIGAR traceback
+#                 and the bit-vector CIGAR traceback
 #   ubsan         UndefinedBehaviorSanitizer build of the alignment
 #                 kernels, funnel and SIMD differential harness
 #                 (shift/overflow-dense bit-vector code)
@@ -107,7 +107,7 @@ if has_tier tier1; then
     cmake --build build -j "$JOBS"
     ctest --test-dir build --output-on-failure -j "$JOBS"
 
-    echo "== micro-benchmark smoke: FM kernels, seeders and verification funnel =="
+    echo "== micro-benchmark smoke: FM kernels, seeders, CIGAR and verification funnel =="
     # Minimal min_time: this only proves the benchmarks still run; the
     # bench tier does the regression comparison. (The installed
     # google-benchmark wants a plain double here, not a '0.01s' suffix.)
@@ -120,7 +120,7 @@ if has_tier tier1; then
     fi
     ./build/bench/micro_kernels --benchmark_min_time="$MIN_TIME" \
         --benchmark_repetitions="$REPS" \
-        --benchmark_filter='BM_Fm|BM_Seeder' >/dev/null
+        --benchmark_filter='BM_Fm|BM_Seeder|BM_Cigar' >/dev/null
     ./build/bench/micro_kernels --benchmark_min_time="$MIN_TIME" \
         --benchmark_repetitions="$REPS" \
         --benchmark_filter='BM_Verify_Myers|BM_Verify_MyersBanded|BM_Prefilter|BM_VerifyFunnel' \
@@ -188,9 +188,9 @@ if has_tier asan; then
     # Lane-batched Myers differential harness: the column-major staging
     # transpose and per-lane arena pointers under ASan.
     ./build-asan/tests/test_myers_simd
-    # Banded CIGAR traceback against the full-table oracle: the band's
-    # rows index diagonals at negative offsets from the main one, and
-    # the clipped windows at the reference end sit right at its edges.
+    # Bit-vector CIGAR traceback against the full-table oracle: the
+    # traceback indexes the stored column deltas by row and column, and
+    # the clipped windows at the reference end sit right at their edges.
     ./build-asan/tests/test_align
     ./build-asan/tests/test_cigar
 fi

@@ -1,6 +1,8 @@
 #include "align/edit_distance.hpp"
 
 #include <algorithm>
+#include <array>
+#include <stdexcept>
 #include <vector>
 
 namespace repute::align {
@@ -125,109 +127,126 @@ std::uint32_t banded_semiglobal_distance(
 
 namespace {
 
-/// Per-thread DP rows and traceback ops for `semiglobal_align`, reused
-/// across calls (the same warm-scratch idiom as core::KernelScratch):
-/// after a thread's first alignment of a given size it allocates only
-/// the returned CIGAR.
+/// Per-thread column deltas and traceback ops for `semiglobal_align`,
+/// reused across calls (the same warm-scratch idiom as
+/// core::KernelScratch): after a thread's first alignment of a given
+/// size it allocates only the returned CIGAR.
 struct AlignScratch {
-    std::vector<std::uint32_t> table;
+    std::vector<std::uint64_t> columns; ///< per text column: Pv Mv Ph Mh
     std::string ops;
 };
 
-} // namespace
+/// Bit r of the multi-word row vector `words` (row r + 1 of the table).
+inline int row_bit(const std::uint64_t* words, std::size_t r) noexcept {
+    return static_cast<int>((words[r / 64] >> (r % 64)) & 1u);
+}
 
-std::optional<SemiGlobalAlignment> semiglobal_align(
+/// semiglobal_align for 64 * (W - 1) < |pattern| <= 64 * W. W is a
+/// template parameter so the column state stays in registers.
+template <std::size_t W>
+std::optional<SemiGlobalAlignment> align_words(
     std::span<const std::uint8_t> pattern,
-    std::span<const std::uint8_t> text, std::uint32_t max_distance) {
+    std::span<const std::uint8_t> text, std::uint32_t max_distance,
+    AlignScratch& scratch) {
     const std::size_t m = pattern.size();
     const std::size_t t = text.size();
-    // No distance exceeds m, so a larger budget bands nothing more.
-    const std::size_t delta = std::min<std::size_t>(max_distance, m);
-    // Every end column costs at least m - t: too short for the budget.
-    if (m > t + delta) return std::nullopt;
+    const unsigned top_bit = static_cast<unsigned>((m - 1) % 64);
+    const std::uint64_t top_mask = ~0ULL >> (63 - top_bit);
 
-    // Band: diagonals k = j - i in [-delta, t - m + delta]. A path of
-    // cost <= delta from row 0 to row m never leaves it, so every cell on
-    // an optimal path holds its full-table value, and any other cell
-    // holds its full-table value or something > delta; the argmin and
-    // the traceback below therefore pick exactly what the full table
-    // would (DESIGN.md §5i). Cell (i, j) lives at column
-    // c = j - i + delta + 1 of row i. The recurrence runs on at most
-    // `width` columns per row; columns outside the text or the band
-    // hold `far` (> delta).
-    const std::size_t width = t + 2 * delta + 1 - m;
-    const std::size_t stride = width + 2;
-    const auto far = static_cast<std::uint32_t>(delta + 1);
-    thread_local AlignScratch scratch;
-    auto& table = scratch.table;
-    table.resize((m + 1) * stride);
-    auto row = [&](std::size_t i) { return table.data() + i * stride; };
-    // Columns of row i whose text column j lies in [0, t].
-    auto first_col = [&](std::size_t i) {
-        return (i > delta ? i - delta : 0) + delta + 1 - i;
-    };
-    auto last_col = [&](std::size_t i) {
-        return std::min(t, i + t + delta - m) + delta + 1 - i;
-    };
-
-    for (std::size_t i = 0; i <= m; ++i) {
-        std::uint32_t* r = row(i);
-        const std::size_t lo = first_col(i);
-        const std::size_t hi = last_col(i);
-        std::fill(r, r + lo, far);
-        std::fill(r + hi + 1, r + stride, far);
-        if (i == 0) {
-            std::fill(r + lo, r + hi + 1, 0u); // free text prefix
-            continue;
-        }
-        const std::uint32_t* p = row(i - 1);
-        const std::uint8_t base = pattern[i - 1];
-        std::size_t c = lo;
-        if (i <= delta) r[c++] = static_cast<std::uint32_t>(i); // j == 0
-        // Text column j - 1 of column c: j = c + i - delta - 1. The left
-        // neighbour stays in a register, off the store-to-load path.
-        const std::uint8_t* tj = text.data() + (c + i) - delta - 2;
-        std::uint32_t left = r[c - 1];
-        for (; c <= hi; ++c, ++tj) {
-            const std::uint32_t diag = p[c] + (base != *tj ? 1u : 0u);
-            const std::uint32_t up = p[c + 1] + 1;
-            left = std::min(std::min(diag, up), left + 1);
-            r[c] = left;
-        }
+    std::array<std::array<std::uint64_t, W>, 4> peq{};
+    for (std::size_t i = 0; i < m; ++i) {
+        peq[pattern[i]][i / 64] |= 1ULL << (i % 64);
     }
 
-    // First argmin of the last row, as the full table would pick it.
-    const std::uint32_t* last = row(m);
-    std::size_t best_c = first_col(m);
-    for (std::size_t c = best_c + 1, hi = last_col(m); c <= hi; ++c) {
-        if (last[c] < last[best_c]) best_c = c;
+    // Forward pass (Myers 1999, Hyyrö's search-mode formulation): all W
+    // words of every column, so the stored deltas are the full table.
+    // Text column j + 1 stores, at columns[4W * j], its vertical deltas
+    // Pv/Mv (bit i - 1: D[i][j+1] - D[i-1][j+1] is +1/-1) and its
+    // horizontal deltas Ph/Mh (bit i - 1: D[i][j+1] - D[i][j] is +1/-1).
+    auto& columns = scratch.columns;
+    if (columns.size() < 4 * W * t) columns.resize(4 * W * t);
+    std::array<std::uint64_t, W> vp, vn{};
+    vp.fill(~0ULL); // column 0: D[i][0] = i
+    vp[W - 1] = top_mask;
+    auto score = static_cast<std::uint32_t>(m);
+    std::uint32_t best = score;
+    std::size_t best_j = 0; // first argmin of row m, as the full table
+    for (std::size_t j = 0; j < t; ++j) {
+        const auto& eq = peq[text[j]];
+        std::uint64_t* col = columns.data() + 4 * W * j;
+        std::array<std::uint64_t, W> ph, mh;
+        std::uint64_t carry = 0;
+        for (std::size_t w = 0; w < W; ++w) {
+            // Xh = (((Eq & Pv) + Pv) ^ Pv) | Eq, carrying across words.
+            const std::uint64_t a = eq[w] & vp[w];
+            const std::uint64_t sum_lo = a + vp[w];
+            const std::uint64_t sum = sum_lo + carry;
+            carry = (sum_lo < a) | (sum < sum_lo);
+            const std::uint64_t xh = (sum ^ vp[w]) | eq[w];
+            ph[w] = vn[w] | ~(xh | vp[w]);
+            mh[w] = vp[w] & xh;
+        }
+        ph[W - 1] &= top_mask;
+        score += static_cast<std::uint32_t>((ph[W - 1] >> top_bit) & 1u);
+        score -= static_cast<std::uint32_t>((mh[W - 1] >> top_bit) & 1u);
+        if (score < best) {
+            best = score;
+            best_j = j + 1;
+        }
+        // Row 0 is all zeros (free text prefix): no delta shifts in.
+        std::uint64_t ph_in = 0, mh_in = 0;
+        for (std::size_t w = 0; w < W; ++w) {
+            col[2 * W + w] = ph[w];
+            col[3 * W + w] = mh[w];
+            const std::uint64_t ph_out = ph[w] >> 63;
+            const std::uint64_t mh_out = mh[w] >> 63;
+            ph[w] = (ph[w] << 1) | ph_in;
+            mh[w] = (mh[w] << 1) | mh_in;
+            ph_in = ph_out;
+            mh_in = mh_out;
+            const std::uint64_t valid = w + 1 == W ? top_mask : ~0ULL;
+            const std::uint64_t xv = eq[w] | vn[w];
+            vp[w] = (mh[w] | ~(xv | ph[w])) & valid;
+            vn[w] = ph[w] & xv & valid;
+            col[w] = vp[w];
+            col[W + w] = vn[w];
+        }
     }
-    const std::uint32_t best = last[best_c];
-    if (best > delta) return std::nullopt;
-    const std::size_t best_j = best_c + m - delta - 1;
+    if (best > max_distance) return std::nullopt;
 
-    // Traceback, preferring diagonal moves for compact CIGARs.
+    // Traceback from (m, best_j), rebuilding each neighbour's value from
+    // the stored deltas: D[i-1][j] = D[i][j] - vD(i, j), D[i-1][j-1] =
+    // D[i-1][j] - hD(i-1, j) (row 0's hD is 0), D[i][j-1] = D[i][j] -
+    // hD(i, j). Diagonal moves first for compact CIGARs, then up, then
+    // left, exactly as the full table breaks ties.
     std::string& ops = scratch.ops;
     ops.clear();
-    std::size_t i = m, j = best_j, c = best_c;
-    while (i > 0) {
-        const std::uint32_t here = row(i)[c];
-        const std::uint32_t* p = row(i - 1);
-        if (j > 0 &&
-            here == p[c] + (pattern[i - 1] == text[j - 1] ? 0u : 1u)) {
+    std::size_t i = m, j = best_j;
+    auto here = static_cast<int>(best);
+    while (i > 0 && j > 0) {
+        const std::uint64_t* col = columns.data() + 4 * W * (j - 1);
+        const int v = row_bit(col, i - 1) - row_bit(col + W, i - 1);
+        const int up = here - v;
+        const int diag =
+            i > 1 ? up - (row_bit(col + 2 * W, i - 2) -
+                          row_bit(col + 3 * W, i - 2))
+                  : 0;
+        if (here == diag + (pattern[i - 1] != text[j - 1] ? 1 : 0)) {
             ops.push_back('M');
             --i;
             --j;
-        } else if (here == p[c + 1] + 1) {
+            here = diag;
+        } else if (v == 1) {
             ops.push_back('I'); // pattern base consumed, none from text
             --i;
-            ++c;
+            here = up;
         } else {
             ops.push_back('D'); // text base consumed, none from pattern
+            here -= row_bit(col + 2 * W, i - 1) - row_bit(col + 3 * W, i - 1);
             --j;
-            --c;
         }
     }
+    ops.append(i, 'I'); // column 0: D[i][0] = i, only insertions remain
 
     // Run-length encode into CIGAR (ops were pushed end to start).
     SemiGlobalAlignment out;
@@ -242,6 +261,33 @@ std::optional<SemiGlobalAlignment> semiglobal_align(
         k = run;
     }
     return out;
+}
+
+} // namespace
+
+std::optional<SemiGlobalAlignment> semiglobal_align(
+    std::span<const std::uint8_t> pattern,
+    std::span<const std::uint8_t> text, std::uint32_t max_distance) {
+    const std::size_t m = pattern.size();
+    if (m == 0) return SemiGlobalAlignment{}; // empty alignment at 0
+    const std::size_t words = (m + 63) / 64;
+    if (words > 8) {
+        throw std::invalid_argument(
+            "semiglobal_align: pattern length must be at most 512");
+    }
+    // Every end column costs at least m - t: too short for the budget.
+    if (m > text.size() + max_distance) return std::nullopt;
+    thread_local AlignScratch scratch;
+    switch (words) {
+    case 1: return align_words<1>(pattern, text, max_distance, scratch);
+    case 2: return align_words<2>(pattern, text, max_distance, scratch);
+    case 3: return align_words<3>(pattern, text, max_distance, scratch);
+    case 4: return align_words<4>(pattern, text, max_distance, scratch);
+    case 5: return align_words<5>(pattern, text, max_distance, scratch);
+    case 6: return align_words<6>(pattern, text, max_distance, scratch);
+    case 7: return align_words<7>(pattern, text, max_distance, scratch);
+    default: return align_words<8>(pattern, text, max_distance, scratch);
+    }
 }
 
 } // namespace repute::align

@@ -39,13 +39,15 @@ struct SemiGlobalAlignment {
     std::string cigar;            ///< M/I/D ops, pattern-relative
 };
 
-/// Semi-global alignment with traceback, filling only the diagonals
-/// j - i in [-max_distance, |text| - |pattern| + max_distance]: at most
-/// (|p| + 1) * (|t| - |p| + 2 * max_distance + 1) cells, in per-thread
-/// scratch reused across calls. The result (distance, the first
-/// best-scoring end column, the diagonal-first traceback and so the
-/// CIGAR) is exactly the full-table alignment's. Returns std::nullopt
-/// when the best distance exceeds `max_distance`.
+/// Semi-global alignment with traceback. A Myers/Hyyro bit-vector pass
+/// computes every cell of the (|p| + 1) x (|t| + 1) table in delta form
+/// (ceil(|p| / 64) words per text column, stored in per-thread scratch
+/// reused across calls), and the traceback rebuilds cell values from
+/// those deltas. The result (distance, the first best-scoring end
+/// column, the diagonal-first traceback and so the CIGAR) is exactly the
+/// full-table alignment's. Returns std::nullopt when the best distance
+/// exceeds `max_distance`. Codes 0..3; patterns up to 512 bases (the
+/// verification kernel's limit), std::invalid_argument beyond.
 std::optional<SemiGlobalAlignment> semiglobal_align(
     std::span<const std::uint8_t> pattern,
     std::span<const std::uint8_t> text, std::uint32_t max_distance);

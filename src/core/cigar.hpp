@@ -4,12 +4,13 @@
 //
 // The mapping kernel reports candidate-diagonal positions and edit
 // distances only (cheap, GPU-friendly). This host-side pass re-aligns
-// each reported mapping with a delta-banded traceback DP to recover the
-// precise alignment start and the CIGAR string, upgrading the SAM-lite
-// output (pipeline::SamEmitter) to spec-level records. Cost is
-// O(n * delta) per mapping — (n + 1) * (4*delta + 1) DP cells over the
-// n + 2*delta reference window — paid only for the mappings actually
-// emitted, with no per-mapping allocation beyond the CIGAR string.
+// each reported mapping with a bit-vector traceback
+// (align::semiglobal_align) to recover the precise alignment start and
+// the CIGAR string, upgrading the SAM-lite output (pipeline::SamEmitter)
+// to spec-level records. Cost is one Myers pass of ceil(n / 64) words
+// per column over the n + 2*delta reference window plus an O(n + delta)
+// traceback, paid only for the mappings actually emitted, with no
+// per-mapping allocation beyond the CIGAR string.
 
 #include <optional>
 #include <string>

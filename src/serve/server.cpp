@@ -201,6 +201,12 @@ void Server::handle_connection(int fd) {
         sam_out.exceptions(std::ios::badbit);
         const auto response = session_->map(request, sam_out);
         sam_out.flush();
+        // Counted once its SAM has left, before the Done frame: a
+        // client holding its reply must find the request counted.
+        handled_.fetch_add(1);
+        if (auto* registry = obs::metrics()) {
+            registry->counter("serve.requests_ok").add();
+        }
 
         char summary[256];
         std::snprintf(summary, sizeof summary,
@@ -212,10 +218,10 @@ void Server::handle_connection(int fd) {
                       response.emitted.dropped_boundary,
                       response.emitted.dropped_cigar,
                       response.workers_granted, response.wall_seconds);
-        write_frame(fd, FrameType::Done, summary, std::strlen(summary));
-        handled_.fetch_add(1);
-        if (auto* registry = obs::metrics()) {
-            registry->counter("serve.requests_ok").add();
+        try {
+            write_frame(fd, FrameType::Done, summary, std::strlen(summary));
+        } catch (const std::exception&) {
+            // Already counted as served; the client left after its SAM.
         }
     } catch (const std::exception& e) {
         if (auto* registry = obs::metrics()) {

@@ -1,9 +1,8 @@
 #pragma once
-// Test oracle: the full-table semi-global aligner that the banded
-// align::semiglobal_align replaced, kept as it was. It fills all
-// (m+1) x (t+1) cells, so it needs no band argument; the differential
-// tests in test_align and test_cigar hold the banded aligner to its
-// output, byte for byte.
+// Test oracle: the plain full-table semi-global aligner. It fills all
+// (m+1) x (t+1) cells by the textbook recurrence; the differential
+// tests in test_align and test_cigar hold align::semiglobal_align to
+// its output, byte for byte.
 
 #include <algorithm>
 #include <cstdint>

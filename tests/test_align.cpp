@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <tuple>
@@ -144,7 +146,7 @@ TEST(SemiGlobalAlign, CigarConsumesWholePattern) {
     }
 }
 
-/// Checks the banded aligner against the full-table oracle; returns
+/// Checks semiglobal_align against the full-table oracle; returns
 /// whether the oracle aligned within `max_distance`.
 bool expect_same_alignment(std::span<const std::uint8_t> p,
                            std::span<const std::uint8_t> t,
@@ -258,6 +260,76 @@ TEST(SemiGlobalAlign, BandedMatchesOracleOnEdgeShapes) {
     ASSERT_TRUE(all_ins.has_value());
     EXPECT_EQ(all_ins->cigar, "40I");
     EXPECT_FALSE(semiglobal_align(p, empty, 39).has_value());
+}
+
+/// `unit` repeated from phase `phase` out to `n` codes.
+std::vector<std::uint8_t> tandem(const std::vector<std::uint8_t>& unit,
+                                 std::size_t phase, std::size_t n) {
+    std::vector<std::uint8_t> out(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        out[i] = unit[(phase + i) % unit.size()];
+    }
+    return out;
+}
+
+TEST(SemiGlobalAlign, MultiWordPathsMatchFullTableOracle) {
+    // Pattern lengths on both sides of the word boundaries the aligner
+    // dispatches on, and one in each of the 5- to 8-word classes, with
+    // the window shapes annotate_mapping produces at those lengths.
+    Xoshiro256 rng(2718);
+    for (const std::size_t m : std::initializer_list<std::size_t>{
+             63, 64, 65, 127, 128, 129, 192, 193, 320, 384, 448, 512}) {
+        const int trials = m == 512 ? 60 : 150;
+        std::size_t aligned = 0;
+        for (int trial = 0; trial < trials; ++trial) {
+            const std::uint32_t alphabet = rng.chance(0.5) ? 2 : 4;
+            auto delta = static_cast<std::uint32_t>(1 + rng.bounded(16));
+            if (trial % 10 == 0) delta = 0;
+            if (trial % 10 == 1) {
+                delta = static_cast<std::uint32_t>(m + rng.bounded(3));
+            }
+            std::vector<std::uint8_t> p, t;
+            if (trial % 3 == 2 && delta > 0) {
+                // Tandem repeat of period <= 2*delta: runs of end
+                // columns tie on the best distance, so the first argmin
+                // and the tie-breaks decide the output.
+                const auto unit = random_codes(
+                    rng, 1 + rng.bounded(2 * delta), alphabet);
+                p = tandem(unit, rng.bounded(unit.size()), m);
+                t = mutate(rng,
+                           tandem(unit, rng.bounded(unit.size()),
+                                  m + 2 * delta),
+                           static_cast<std::uint32_t>(rng.bounded(delta + 1)),
+                           alphabet);
+            } else {
+                p = random_codes(rng, m, alphabet);
+                t = random_codes(rng, rng.bounded(delta + 3), alphabet);
+                const auto core = mutate(
+                    rng, p,
+                    static_cast<std::uint32_t>(rng.bounded(delta + 2)),
+                    alphabet);
+                t.insert(t.end(), core.begin(), core.end());
+                const auto right =
+                    random_codes(rng, rng.bounded(delta + 3), alphabet);
+                t.insert(t.end(), right.begin(), right.end());
+            }
+            // Reference-end clips: cut the window short on the left or
+            // on the right, by up to 2*delta + 2 bases.
+            const std::size_t clip =
+                std::min(t.size(), rng.bounded(2 * delta + 3));
+            switch (rng.bounded(3)) {
+            case 0:
+                t.erase(t.begin(),
+                        t.begin() + static_cast<std::ptrdiff_t>(clip));
+                break;
+            case 1: t.resize(t.size() - clip); break;
+            default: break;
+            }
+            if (expect_same_alignment(p, t, delta, trial)) ++aligned;
+            if (::testing::Test::HasFailure()) return; // first mismatch
+        }
+        EXPECT_GT(aligned, 0u) << "m=" << m;
+    }
 }
 
 // ----------------------------------------------------------- banded DP

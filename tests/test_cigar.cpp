@@ -53,7 +53,7 @@ DeviceProfile test_profile() {
 }
 
 /// annotate_mapping's window and strand handling over the full-table
-/// oracle aligner: the reference output the banded aligner must match.
+/// oracle aligner: the reference output the bit-vector aligner must match.
 std::optional<AnnotatedMapping>
 oracle_annotate(const Reference& reference, const repute::genomics::Read& read,
                 const ReadMapping& mapping, std::uint32_t delta) {

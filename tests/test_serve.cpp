@@ -257,7 +257,6 @@ TEST_F(ServeTest, VanishedClientStopsItsRequestMapping) {
     send_and_hang_up(big);
     // Served by the same handler once the vanished request is over.
     EXPECT_EQ(via_socket(one), want_one);
-    stop_server(); // the handler counts a request after its Done frame
 
     auto& registry = metrics.registry();
     EXPECT_EQ(registry.counter("serve.requests_failed").value(), 1u);
@@ -269,6 +268,18 @@ TEST_F(ServeTest, VanishedClientStopsItsRequestMapping) {
     ASSERT_GE(mapped, 1u);
     EXPECT_LT(mapped - 1, rconfig.n_reads)
         << "the vanished client's request was mapped to the end";
+}
+
+TEST_F(ServeTest, RequestIsCountedBeforeItsDoneFrame) {
+    serve::WireRequest one = single_request("counted");
+    one.reads = single_fastq_.substr(0, single_fastq_.find("\n@") + 1);
+    obs::TraceSession metrics;
+    std::ostringstream sam;
+    serve::run_client(server_->socket_path(), one, sam);
+    // The server is still running: the reply alone must imply the count.
+    auto& registry = metrics.registry();
+    EXPECT_EQ(registry.counter("serve.requests_ok").value(), 1u);
+    EXPECT_EQ(registry.counter("serve.requests_failed").value(), 0u);
 }
 
 TEST_F(ServeTest, StopDrainsAndReportsServedCount) {

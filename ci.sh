@@ -10,8 +10,10 @@
 #   tsan          ThreadSanitizer build of the queue/scheduler-heavy
 #                 tests plus the streaming pipeline, the
 #                 double-buffered staging equivalence matrix, the
-#                 mapper executor (test_core, test_shard) and the
-#                 concurrent index-open checksum pass (test_rix)
+#                 mapper executor (test_core, test_shard), the
+#                 concurrent index-open checksum pass (test_rix) and
+#                 the thread pool's shared parallel_for cursor
+#                 (test_util)
 #   asan          AddressSanitizer build of the index/filter hot paths
 #                 (rank-block and scratch-reuse pointer arithmetic), the
 #                 verification funnel, the SIMD differential harness
@@ -148,7 +150,7 @@ if has_tier tsan; then
           -DCMAKE_BUILD_TYPE=RelWithDebInfo "${LAUNCHER[@]}"
     cmake --build build-tsan -j "$JOBS" \
           --target test_ocl test_scheduler test_determinism test_pipeline \
-          test_xfer test_shard test_core test_rix
+          test_xfer test_shard test_core test_rix test_util
     ./build-tsan/tests/test_ocl
     ./build-tsan/tests/test_scheduler
     ./build-tsan/tests/test_determinism
@@ -166,6 +168,9 @@ if has_tier tsan; then
     # Index open: the section checksums of one container, or of every
     # shard of a manifest, are verified on concurrent threads.
     ./build-tsan/tests/test_rix
+    # Every device launch runs through parallel_for, whose workers claim
+    # work items one at a time from a shared atomic cursor.
+    ./build-tsan/tests/test_util
 fi
 
 if has_tier asan; then

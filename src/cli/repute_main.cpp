@@ -93,7 +93,9 @@ options:
   --delta N             edit-distance budget (default 5)
   --smin N              minimum seed k-mer length (default 14)
   --max-locations N     mappings reported per read (default 100)
-  --cigar BOOL          host-side re-alignment + CIGAR (default true)
+  --cigar BOOL          host-side re-alignment + CIGAR (default true);
+                        single-end reads only: paired records (--reads2)
+                        keep CIGAR '*'
   --no-simd             scalar Myers verification (debugging/timing)
 pipeline:
   --batch-size N        reads per batch (default 4096)
@@ -153,7 +155,9 @@ options:
   --reads2 FILE         second-mate file (paired-end)
   --out FILE            SAM output path, '-' for stdout (default -)
   --delta N             edit-distance budget (default 5)
-  --cigar BOOL          request CIGAR annotation (default true)
+  --cigar BOOL          request CIGAR annotation (default true);
+                        single-end reads only: paired records (--reads2)
+                        keep CIGAR '*'
   --map-workers N       mappers requested (fair-share granted, default 1)
   --batch-size N        reads per batch (default 4096)
   --queue-depth N       pipeline queue depth (default 4)

@@ -11,6 +11,7 @@ namespace repute::core {
 
 StageTotals& StageTotals::operator+=(const StageTotals& other) noexcept {
     obs::StageCounters::operator+=(other);
+    zero_certified += other.zero_certified;
     raw_hits += other.raw_hits;
     accepted += other.accepted;
     prefilter_rejects += other.prefilter_rejects;
@@ -37,6 +38,28 @@ void map_strand(const index::FmIndex& fm,
                 std::vector<ReadMapping>& out, KernelScratch& scratch,
                 StageTotals& stages) {
     const auto& w = config.weights;
+
+    // --- Layer 0 (REPUTE flow): the pigeonhole zero certificate. A
+    // strand that splits into delta+1 absent seeds has no locus within
+    // delta edits; the certificate fires exactly when the DP's optimum
+    // is 0, i.e. on the strands that would gather no candidates, so
+    // skipping the DP there changes no output. The CORAL baseline runs
+    // its seeder on every strand, as the paper's does.
+    if (config.collapse_candidates) {
+        // Oversized or too-short reads still fail with the seeder's own
+        // message rather than being certified.
+        filter::validate_read_parameters(codes.size(), delta, config.s_min);
+        std::uint64_t extends = 0;
+        std::uint64_t jumps = 0;
+        const bool certified = filter::zero_certificate(
+            fm, codes, delta, config.s_min, extends, jumps);
+        stages.filtration_ops +=
+            extends * w.fm_extend + jumps * w.qgram_lookup;
+        if (certified) {
+            ++stages.zero_certified;
+            return;
+        }
+    }
 
     // --- Filtration: DP (or heuristic) seed selection.
     filter::SeedPlan& plan = scratch.plan;
@@ -364,6 +387,8 @@ std::uint64_t map_read_workitem(const index::FmIndex& fm,
     if (auto* m = obs::metrics()) {
         m->histogram("kernel.candidates_per_read")
             .observe(static_cast<double>(local.candidates));
+        m->counter("kernel.zero_certified_strands")
+            .add(local.zero_certified);
         m->counter("kernel.raw_seed_hits").add(local.raw_hits);
         m->counter("kernel.candidate_windows").add(local.candidates);
         m->counter("kernel.mappings_accepted").add(local.accepted);

@@ -8,7 +8,9 @@
 // alignments are written into the first-n output slots. Candidates are
 // verified directly from the diagonal list instead of materializing a
 // per-read candidate table — the paper's "kernel flow modified to
-// minimize the increase in memory footprint" point.
+// minimize the increase in memory footprint" point. In REPUTE's flow a
+// pigeonhole zero certificate (filter::zero_certificate) runs first and
+// ends a strand whose DP optimum would be 0 before the DP starts.
 //
 // Work accounting: every stage reports abstract operations, weighted so
 // one unit is roughly one inner-loop step; the device model turns ops
@@ -95,6 +97,9 @@ struct KernelConfig {
 /// candidate windows) plus kernel-internal counters that only matter
 /// inside the map kernel.
 struct StageTotals : obs::StageCounters {
+    /// Strands settled by the pigeonhole zero certificate (layer 0):
+    /// no seed selection, candidates or verification ran for them.
+    std::uint64_t zero_certified = 0;
     std::uint64_t raw_hits = 0; ///< seed hits before diagonal collapse
     std::uint64_t accepted = 0; ///< mappings written (pre-merge)
     // Verification-funnel effectiveness.

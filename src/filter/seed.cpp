@@ -26,6 +26,42 @@ void validate_read_parameters(std::size_t read_length, std::uint32_t delta,
     }
 }
 
+bool zero_certificate(const index::FmIndex& fm,
+                      std::span<const std::uint8_t> read,
+                      std::uint32_t delta, std::uint32_t s_min,
+                      std::uint64_t& fm_extends,
+                      std::uint64_t& qgram_jumps) {
+    const index::QGramTable* qt = fm.qgrams();
+    // The jump never reaches past s_min: an empty range at jump depth
+    // j <= s_min pins the seed to exactly s_min bases, while a deeper
+    // empty jump would leave the shortest zero-count length unknown.
+    const std::uint32_t jump =
+        qt != nullptr ? std::min(qt->q(), s_min) : 0;
+    auto end = static_cast<std::uint32_t>(read.size());
+    for (std::uint32_t x = delta + 1; x >= 1; --x) {
+        // Seed x must start at or after `lo` to leave room for the
+        // x - 1 seeds before it.
+        const std::uint32_t lo = (x - 1) * s_min;
+        if (end < lo + s_min) return false;
+        auto range = fm.whole_range();
+        std::uint32_t d = end;
+        if (jump > 0) {
+            d = end - jump;
+            range = qt->lookup(read.subspan(d, jump));
+            ++qgram_jumps;
+        }
+        while (!range.empty() && d > lo) {
+            range = fm.extend(range, read[--d]);
+            ++fm_extends;
+        }
+        if (!range.empty()) return false;
+        // read[d, end) is absent, and so is every suffix of at least
+        // s_min bases that contains it.
+        end = std::min(d, end - s_min);
+    }
+    return true;
+}
+
 void plan_from_boundaries(const index::FmIndex& fm,
                           std::span<const std::uint8_t> read,
                           std::span<const std::uint16_t> boundaries,

@@ -106,6 +106,28 @@ public:
 void validate_read_parameters(std::size_t read_length, std::uint32_t delta,
                               std::uint32_t s_min);
 
+/// Pigeonhole zero certificate: true when `read` splits into delta+1
+/// contiguous seeds of at least `s_min` bases none of which occurs in
+/// `fm`. Any text substring within delta edits of the read would hold
+/// one of those seeds exactly, so a certified read has no locus and no
+/// candidates.
+///
+/// The split is greedy, right to left: each seed is the shortest
+/// zero-count suffix (of at least s_min bases) of the prefix the later
+/// seeds left, found with one backward scan that stops as soon as the
+/// range empties. Lengthening a zero-count seed keeps it at zero and a
+/// shorter seed leaves a longer prefix, so the greedy split finds a
+/// zero partition exactly when one exists: the certificate holds iff
+/// the optimum of an exact seeder (MemoryOptimizedSeeder,
+/// OptimalSeeder) with this s_min is 0. Reads that cannot host
+/// delta+1 seeds get no certificate. Adds the scans' work to the two
+/// counters, as FrequencyScanner does.
+bool zero_certificate(const index::FmIndex& fm,
+                      std::span<const std::uint8_t> read,
+                      std::uint32_t delta, std::uint32_t s_min,
+                      std::uint64_t& fm_extends,
+                      std::uint64_t& qgram_jumps);
+
 /// Computes the FM ranges for an already-chosen partition (boundaries =
 /// seed start offsets, ascending, first == 0), replacing `plan.seeds`
 /// and adding the incurred work to the plan's accounting (counters are

@@ -51,24 +51,21 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
     if (n == 0) return;
-    const std::size_t n_chunks =
-        std::min(n, std::max<std::size_t>(1, thread_count() * 4));
-    const std::size_t chunk = (n + n_chunks - 1) / n_chunks;
+    const std::size_t n_tasks = std::min(n, thread_count());
 
+    std::atomic<std::size_t> next{0};
     std::atomic<bool> failed{false};
     std::exception_ptr first_error;
     std::mutex error_mutex;
 
     std::vector<std::future<void>> futures;
-    futures.reserve(n_chunks);
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-        const std::size_t begin = c * chunk;
-        const std::size_t end = std::min(n, begin + chunk);
-        if (begin >= end) break;
-        futures.push_back(submit([&, begin, end] {
+    futures.reserve(n_tasks);
+    for (std::size_t t = 0; t < n_tasks; ++t) {
+        futures.push_back(submit([&] {
             try {
-                for (std::size_t i = begin; i < end; ++i) {
-                    if (failed.load(std::memory_order_relaxed)) return;
+                while (!failed.load(std::memory_order_relaxed)) {
+                    const std::size_t i = next.fetch_add(1);
+                    if (i >= n) return;
                     fn(i);
                 }
             } catch (...) {

@@ -2,12 +2,12 @@
 // Fixed-size worker pool with a blocking task queue.
 //
 // Each simulated OpenCL device owns one pool sized to its compute-unit
-// count, capped at the host's cores; NDRange dispatches are chopped
-// into work-group tasks and fed through it. Sharded index builds run
-// their per-shard builds on a pool of `--jobs` workers. The pool is
-// intentionally simple (single mutex-protected queue) — dispatch
-// granularity in this codebase is hundreds of microseconds and queue
-// contention is negligible at that scale.
+// count, capped at the host's cores; NDRange dispatches run through
+// parallel_for, whose workers claim work items one at a time
+// from a shared atomic cursor. Sharded index builds run their per-shard
+// builds on a pool of `--jobs` workers. The task queue is intentionally
+// simple (single mutex-protected deque): parallel_for enqueues one task
+// per worker, so it sees a handful of pushes per launch.
 
 #include <condition_variable>
 #include <cstddef>
@@ -35,8 +35,10 @@ public:
     std::future<void> submit(std::function<void()> task);
 
     /// Runs fn(i) for i in [0, n) across the pool and blocks until all
-    /// iterations finish. Work is split into `thread_count * 4` chunks for
-    /// load balance. Exceptions from fn propagate (first one wins).
+    /// iterations finish. min(n, thread_count) tasks each claim the next
+    /// index from a shared cursor, so a run of slow iterations never
+    /// strands the rest of the pool behind one fixed chunk. Exceptions
+    /// from fn propagate (first one wins).
     void parallel_for(std::size_t n,
                       const std::function<void(std::size_t)>& fn);
 

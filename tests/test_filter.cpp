@@ -1,10 +1,12 @@
 // Filtration: partition invariants for every seeder, equivalence of the
 // memory-optimized DP with the full Optimal Seed Solver, optimality of
 // the DP against brute-force enumeration, frequency scanner consistency,
-// and candidate gathering.
+// candidate gathering, and the pigeonhole zero certificate (exactly the
+// DP's zero optimum, and sound against a brute-force edit scan).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <string>
@@ -17,8 +19,12 @@
 #include "filter/optimal_seeder.hpp"
 #include "filter/uniform_seeder.hpp"
 #include "genomics/genome_sim.hpp"
+#include "genomics/multi_reference.hpp"
 #include "genomics/read_sim.hpp"
 #include "index/fm_index.hpp"
+#include "index/qgram_table.hpp"
+#include "index/shard_plan.hpp"
+#include "util/packed_dna.hpp"
 #include "util/prng.hpp"
 
 namespace {
@@ -30,7 +36,9 @@ using repute::filter::MemoryOptimizedSeeder;
 using repute::filter::OptimalSeeder;
 using repute::filter::Seeder;
 using repute::filter::SeedPlan;
+using repute::filter::SeedScratch;
 using repute::filter::UniformSeeder;
+using repute::filter::zero_certificate;
 using repute::genomics::GenomeSimConfig;
 using repute::genomics::Reference;
 using repute::genomics::simulate_genome;
@@ -395,6 +403,220 @@ TEST_F(FilterTest, JumpTablePathMatchesPlainBackwardSearch) {
             EXPECT_LT(with.fm_extends, without.fm_extends);
         }
     }
+}
+
+// ------------------------------------------ pigeonhole zero certificate
+
+std::vector<std::uint8_t> reverse_complement(
+    std::span<const std::uint8_t> codes) {
+    std::vector<std::uint8_t> rc(codes.rbegin(), codes.rend());
+    for (auto& c : rc) c = repute::util::complement_code(c);
+    return rc;
+}
+
+std::vector<std::uint8_t> random_read(Xoshiro256& rng, std::size_t n) {
+    std::vector<std::uint8_t> read(n);
+    for (auto& c : read) c = static_cast<std::uint8_t>(rng.bounded(4));
+    return read;
+}
+
+TEST_F(FilterTest, ZeroCertificateHoldsIffDpOptimumIsZero) {
+    // The certificate must fire on exactly the strands whose DP optimum
+    // is 0 — on the fixture index, the same text without a jump table,
+    // and every shard index of a 4-shard plan (each shard maps every
+    // read against its own slice, where most strands have no seed).
+    const FmIndex no_jump(*reference_, 4, 128, /*qgram_length=*/0);
+    const std::string text = reference_->sequence().to_string();
+    std::vector<repute::genomics::FastaRecord> records;
+    for (std::size_t c = 0; c < 8; ++c) {
+        const std::size_t lo = c * text.size() / 8;
+        const std::size_t hi = (c + 1) * text.size() / 8;
+        records.push_back({"c" + std::to_string(c), text.substr(lo, hi - lo)});
+    }
+    const repute::genomics::MultiReference multi(records);
+    repute::index::ShardPlanConfig plan_config;
+    plan_config.shard_count = 4;
+    const auto shard_plan = repute::index::plan_shards(multi, plan_config);
+    ASSERT_EQ(shard_plan.shards.size(), 4u);
+    std::vector<std::unique_ptr<Reference>> shard_texts;
+    std::vector<std::unique_ptr<FmIndex>> shard_fms;
+    for (const auto& spec : shard_plan.shards) {
+        const auto codes = multi.concatenated().sequence().extract(
+            spec.text_offset(), spec.text_length());
+        shard_texts.push_back(std::make_unique<Reference>(
+            "shard", repute::util::PackedDna{
+                         std::span<const std::uint8_t>(codes)}));
+        shard_fms.push_back(std::make_unique<FmIndex>(*shard_texts.back(), 4));
+    }
+    std::vector<std::pair<std::string, const FmIndex*>> indexes = {
+        {"monolithic", fm_}, {"no-jump", &no_jump}};
+    for (std::size_t s = 0; s < shard_fms.size(); ++s) {
+        indexes.emplace_back("shard " + std::to_string(s),
+                             shard_fms[s].get());
+    }
+
+    // Both strands of exact, substituted and random reads.
+    Xoshiro256 rng(4242);
+    std::vector<std::vector<std::uint8_t>> reads;
+    for (int i = 0; i < 20; ++i) {
+        const std::size_t n = 100 + rng.bounded(51);
+        auto read = i % 5 == 4 ? random_read(rng, n)
+                               : mutated_read(rng, n,
+                                              static_cast<std::uint32_t>(
+                                                  rng.bounded(9)));
+        reads.push_back(reverse_complement(read));
+        reads.push_back(std::move(read));
+    }
+
+    SeedPlan plan;
+    SeedScratch scratch;
+    for (const auto& [name, fm] : indexes) {
+        std::size_t certified = 0, refuted = 0;
+        std::uint64_t cert_work = 0, dp_work = 0;
+        for (std::uint32_t s_min = 10; s_min <= 16; ++s_min) {
+            const MemoryOptimizedSeeder memopt(s_min);
+            for (std::uint32_t delta = 0; delta <= 7; ++delta) {
+                for (std::size_t r = 0; r < reads.size(); ++r) {
+                    const auto& read = reads[r];
+                    if ((delta + 1) * s_min > read.size()) continue;
+                    memopt.select(*fm, read, delta, plan, scratch);
+                    std::uint64_t extends = 0, jumps = 0;
+                    const bool holds = zero_certificate(
+                        *fm, read, delta, s_min, extends, jumps);
+                    ASSERT_EQ(holds, plan.total_candidates == 0)
+                        << name << " s_min=" << s_min << " delta=" << delta
+                        << " read " << r << " optimum "
+                        << plan.total_candidates;
+                    if (fm->qgrams() == nullptr) {
+                        EXPECT_EQ(jumps, 0u);
+                    }
+                    if (holds) {
+                        ++certified;
+                        cert_work += extends + jumps;
+                        dp_work += plan.fm_extends + plan.qgram_jumps;
+                    } else {
+                        ++refuted;
+                    }
+                }
+            }
+        }
+        // Both verdicts occur on every index, and a certificate costs
+        // far fewer scan steps than the DP that reaches the same zero.
+        EXPECT_GT(certified, 0u) << name;
+        EXPECT_GT(refuted, 0u) << name;
+        EXPECT_LT(cert_work * 2, dp_work) << name;
+    }
+}
+
+TEST(ZeroCertificate, JumpTableDeeperThanSminKeepsTheTightSplit) {
+    // On a two-letter text most q-grams holding G or T are absent, so
+    // empty jump ranges are common. With the table deeper than s_min
+    // (q = 5, s_min 3 and 4) the certificate must still find seeds of
+    // exactly s_min bases: reads of (delta+1) * s_min bases leave no
+    // slack for a longer one.
+    std::string text(20'000, 'A');
+    Xoshiro256 rng(8);
+    for (auto& c : text) c = rng.chance(0.5) ? 'A' : 'C';
+    const Reference genome = Reference::from_ascii("ac", text);
+    const FmIndex fm(genome, 4);
+    ASSERT_NE(fm.qgrams(), nullptr);
+
+    SeedPlan plan;
+    SeedScratch scratch;
+    std::size_t certified = 0, refuted = 0;
+    for (const std::uint32_t s_min : {3u, 4u}) {
+        ASSERT_GT(fm.qgrams()->q(), s_min);
+        const MemoryOptimizedSeeder memopt(s_min);
+        for (int trial = 0; trial < 300; ++trial) {
+            const auto delta = static_cast<std::uint32_t>(rng.bounded(6));
+            std::vector<std::uint8_t> read(
+                (delta + 1) * s_min + rng.bounded(3));
+            // Mostly A/C, with a G or T about every 8 bases.
+            for (auto& c : read) {
+                c = static_cast<std::uint8_t>(rng.chance(0.12)
+                                                  ? 2 + rng.bounded(2)
+                                                  : rng.bounded(2));
+            }
+            memopt.select(fm, read, delta, plan, scratch);
+            std::uint64_t extends = 0, jumps = 0;
+            const bool holds =
+                zero_certificate(fm, read, delta, s_min, extends, jumps);
+            ASSERT_EQ(holds, plan.total_candidates == 0)
+                << "s_min=" << s_min << " delta=" << delta << " trial "
+                << trial;
+            ++(holds ? certified : refuted);
+        }
+    }
+    EXPECT_GT(certified, 50u);
+    EXPECT_GT(refuted, 50u);
+}
+
+/// Smallest edit distance between `read` and any substring of `text`:
+/// the plain semi-global DP, O(|read| * |text|), no shortcuts.
+std::uint32_t best_substring_distance(std::span<const std::uint8_t> read,
+                                      std::span<const std::uint8_t> text) {
+    const std::size_t m = read.size();
+    std::vector<std::uint32_t> col(m + 1);
+    for (std::size_t i = 0; i <= m; ++i) {
+        col[i] = static_cast<std::uint32_t>(i);
+    }
+    std::uint32_t best = col[m];
+    for (const std::uint8_t t : text) {
+        std::uint32_t diag = col[0];
+        col[0] = 0; // a substring may start anywhere
+        for (std::size_t i = 1; i <= m; ++i) {
+            const std::uint32_t up = col[i];
+            col[i] = std::min({diag + (read[i - 1] != t ? 1u : 0u), up + 1,
+                               col[i - 1] + 1});
+            diag = up;
+        }
+        best = std::min(best, col[m]);
+    }
+    return best;
+}
+
+TEST(ZeroCertificate, SoundAgainstBruteForceScan) {
+    // A certified strand has no locus within delta edits anywhere in
+    // the text. Near-miss reads (delta+1 substitutions, one per
+    // pigeonhole block) push the check right up to the boundary.
+    GenomeSimConfig config;
+    config.length = 24'000;
+    config.seed = 5;
+    config.interspersed_fraction = 0.5;
+    config.repeat_divergence = 0.025;
+    const Reference genome = simulate_genome(config);
+    const FmIndex fm(genome, 4);
+    const auto text = genome.sequence().extract(0, genome.size());
+    const std::uint32_t s_min = 12;
+
+    Xoshiro256 rng(99);
+    std::size_t certified = 0, near_misses = 0;
+    for (int i = 0; i < 40; ++i) {
+        const std::size_t n = 100 + rng.bounded(51);
+        const auto delta = static_cast<std::uint32_t>(2 + rng.bounded(6));
+        auto read = genome.sequence().extract(
+            rng.bounded(genome.size() - n), n);
+        const std::uint32_t edits = delta + 1 - (i % 3 == 0 ? 1 : 0);
+        for (std::uint32_t e = 0; e < edits; ++e) {
+            const std::size_t block = n / edits;
+            auto& base = read[e * block + rng.bounded(block)];
+            base = static_cast<std::uint8_t>((base + 1 + rng.bounded(3)) & 3);
+        }
+        for (const auto& strand : {read, reverse_complement(read)}) {
+            std::uint64_t extends = 0, jumps = 0;
+            if (!zero_certificate(fm, strand, delta, s_min, extends,
+                                  jumps)) {
+                continue;
+            }
+            ++certified;
+            const std::uint32_t distance =
+                best_substring_distance(strand, text);
+            EXPECT_GT(distance, delta) << "read " << i;
+            if (distance <= delta + 2) ++near_misses;
+        }
+    }
+    EXPECT_GT(certified, 40u);
+    EXPECT_GT(near_misses, 5u);
 }
 
 TEST_F(FilterTest, ExplorationSpaceFormula) {

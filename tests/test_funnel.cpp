@@ -1,10 +1,14 @@
 // Verification funnel: the prefilter's zero-false-rejection property,
-// byte-identical mapping output with each funnel layer toggled off, and
-// the funnel metrics exported through the obs layer.
+// byte-identical mapping output with each funnel layer toggled off, the
+// zero certificate's (layer 0) reach and error behavior, and the funnel
+// metrics exported through the obs layer.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "align/myers.hpp"
@@ -206,7 +210,10 @@ TEST_F(FunnelEquivalence, EachLayerOffMatchesFullFunnel) {
     std::vector<std::vector<ReadMapping>> full;
     StageTotals stages;
     map_all(KernelConfig{}, full, &stages);
-    // The funnel must actually engage on this workload.
+    // The funnel must actually engage on this workload. Each read comes
+    // from one strand of the text; on the other, its seeds mostly miss
+    // and the strand ends at layer 0.
+    EXPECT_GT(stages.zero_certified, 0u);
     EXPECT_GT(stages.prefilter_rejects, 0u);
     EXPECT_GT(stages.windows_coalesced, 0u);
 
@@ -260,6 +267,58 @@ TEST_F(FunnelEquivalence, HeuristicSeederAgreesToo) {
     }
 }
 
+TEST_F(FunnelEquivalence, CoralFlowWorkIsUnchanged) {
+    // The zero certificate runs only in REPUTE's flow: CORAL's modeled
+    // work on this fixture is pinned bit-for-bit to its value before
+    // layer 0 existed.
+    repute::filter::HeuristicSeeder coral_seeder;
+    KernelConfig config;
+    config.collapse_candidates = false;
+    KernelScratch scratch;
+    std::vector<ReadMapping> out;
+    StageTotals stages;
+    std::uint64_t total_ops = 0;
+    for (const auto& read : sim_.batch.reads) {
+        total_ops += map_read_workitem(*fm_, reference_, coral_seeder, read,
+                                       delta_, config, out, scratch, &stages);
+    }
+    EXPECT_EQ(total_ops, 562'798u);
+    EXPECT_EQ(stages.zero_certified, 0u);
+}
+
+std::string error_of(const std::function<void()>& run) {
+    try {
+        run();
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST_F(FunnelEquivalence, ZeroCertificateKeepsSeederErrors) {
+    // Random reads are certifiable (no seed occurs anywhere), yet a
+    // read the seeder rejects must still fail with the seeder's own
+    // message: layer 0 runs only on valid read parameters.
+    Xoshiro256 rng(5);
+    for (const std::size_t n : {std::size_t{600}, std::size_t{60}}) {
+        repute::genomics::Read read;
+        read.codes = random_codes(rng, n);
+        const std::string expected = error_of([&] {
+            (void)seeder_.select(*fm_, read.codes, delta_);
+        });
+        ASSERT_FALSE(expected.empty()) << "n=" << n;
+        KernelScratch scratch;
+        std::vector<ReadMapping> out;
+        EXPECT_EQ(error_of([&] {
+                      map_read_workitem(*fm_, reference_, seeder_, read,
+                                        delta_, KernelConfig{}, out,
+                                        scratch);
+                  }),
+                  expected)
+            << "n=" << n;
+    }
+}
+
 // ------------------------------------------------------ funnel metrics
 
 TEST_F(FunnelEquivalence, FunnelCountersExportThroughObs) {
@@ -267,6 +326,7 @@ TEST_F(FunnelEquivalence, FunnelCountersExportThroughObs) {
     std::vector<std::vector<ReadMapping>> results;
     map_all(KernelConfig{}, results);
     auto& reg = session.registry();
+    EXPECT_GT(reg.counter("kernel.zero_certified_strands").value(), 0u);
     EXPECT_GT(reg.counter("kernel.prefilter_rejects").value(), 0u);
     EXPECT_GT(reg.counter("kernel.windows_coalesced").value(), 0u);
     // Early exits: present on this workload because rejected-by-Myers

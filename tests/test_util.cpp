@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "util/args.hpp"
@@ -198,6 +200,32 @@ TEST(ThreadPool, PropagatesExceptions) {
                                        }
                                    }),
                  std::runtime_error);
+}
+
+TEST(ThreadPool, SlowIterationDoesNotHoldOthers) {
+    // Iterations are claimed one at a time: while one worker sits in a
+    // slow fn(0), the other drains every remaining index. A contiguous
+    // split of the range would queue fn(0)'s neighbours behind it on
+    // the same worker, and fn(0) would wait for them in vain.
+    ThreadPool pool(2);
+    constexpr std::size_t n = 64;
+    std::atomic<std::size_t> done{0};
+    bool drained = false;
+    pool.parallel_for(n, [&](std::size_t i) {
+        if (i == 0) {
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (done.load() < n - 1 &&
+                   std::chrono::steady_clock::now() < deadline) {
+                std::this_thread::yield();
+            }
+            drained = done.load() == n - 1;
+        } else {
+            ++done;
+        }
+    });
+    EXPECT_TRUE(drained);
+    EXPECT_EQ(done.load(), n - 1);
 }
 
 TEST(ThreadPool, SubmitReturnsUsableFuture) {

@@ -30,15 +30,13 @@ WorkloadConfig parse_workload_config(const util::Args& args) {
 
 FunnelToggles parse_funnel_toggles(const util::Args& args) {
     FunnelToggles toggles;
-    toggles.prefilter = !args.get_bool("no-prefilter", false);
     toggles.banded_verification = !args.get_bool("no-band", false);
     toggles.coalesce_windows = !args.get_bool("no-coalesce", false);
     toggles.simd_verification = !args.get_bool("no-simd", false);
-    if (!toggles.prefilter || !toggles.banded_verification ||
-        !toggles.coalesce_windows || !toggles.simd_verification) {
+    if (!toggles.banded_verification || !toggles.coalesce_windows ||
+        !toggles.simd_verification) {
         std::printf(
-            "# funnel layers: prefilter=%s banded=%s coalesce=%s simd=%s\n",
-            toggles.prefilter ? "on" : "OFF",
+            "# funnel layers: banded=%s coalesce=%s simd=%s\n",
             toggles.banded_verification ? "on" : "OFF",
             toggles.coalesce_windows ? "on" : "OFF",
             toggles.simd_verification ? "on" : "OFF");

@@ -49,7 +49,7 @@ std::vector<MapperSpec> baseline_specs(const Workload& w,
                                        ocl::Device& cpu);
 
 /// REPUTE / CORAL on the given device shares, capped at 1000 locations.
-/// `toggles` applies the --no-prefilter/--no-band/--no-coalesce escape
+/// `toggles` applies the --no-band/--no-coalesce/--no-simd escape
 /// hatches to every kernel the spec builds.
 MapperSpec repute_spec(const Workload& w,
                        std::vector<core::DeviceShare> shares,

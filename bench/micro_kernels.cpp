@@ -18,7 +18,6 @@
 #include "align/edit_distance.hpp"
 #include "align/myers.hpp"
 #include "align/myers_simd.hpp"
-#include "align/prefilter.hpp"
 #include "core/cigar.hpp"
 #include "filter/candidates.hpp"
 #include "filter/frequency_scanner.hpp"
@@ -216,14 +215,14 @@ void BM_Verify_MyersBandedBatched(benchmark::State& state) {
     const auto& read = w.reads.batch.reads[3];
     const align::MyersSimdEngine engine(read.codes);
     constexpr std::size_t kLanes = align::MyersSimdEngine::kLanes;
-    const auto window = w.reference.sequence().extract(
-        w.reads.origins[3].position, 110);
-    const std::uint8_t* texts[kLanes];
-    for (std::size_t l = 0; l < kLanes; ++l) texts[l] = window.data();
+    std::vector<std::uint64_t> words(util::PackedDna::packed_word_count(110));
+    w.reference.sequence().extract_words(w.reads.origins[3].position, 110,
+                                         words.data());
+    align::MyersSimdEngine::PackedWindow lanes[kLanes];
+    for (std::size_t l = 0; l < kLanes; ++l) lanes[l] = {words.data(), 0};
     align::MyersMatcher::BoundedHit hits[kLanes];
     for (auto _ : state) {
-        engine.best_in_bounded_multi(texts, kLanes, window.size(), 5,
-                                     hits);
+        engine.best_in_bounded_multi(lanes, kLanes, 110, 5, hits);
         benchmark::DoNotOptimize(hits[0].distance);
     }
     state.SetItemsProcessed(
@@ -250,17 +249,20 @@ void BM_Verify_MyersBatchedMixedLengths(benchmark::State& state) {
     const std::uint32_t mix_lengths[] = {110, 107, 110, 103, 110, 97,
                                          107, 110, 103, 110};
     std::vector<std::vector<std::uint8_t>> windows;
+    std::vector<std::vector<std::uint64_t>> packed;
     std::vector<std::uint32_t> lengths;
     util::Xoshiro256 rng(29);
     for (int i = 0; i < 29; ++i) {
         const std::uint32_t len = mix_lengths[i % 10];
-        windows.push_back(w.reference.sequence().extract(
-            w.reads.origins[3].position + rng.bounded(4), len));
+        const std::size_t pos = w.reads.origins[3].position + rng.bounded(4);
+        windows.push_back(w.reference.sequence().extract(pos, len));
+        packed.emplace_back(util::PackedDna::packed_word_count(len));
+        w.reference.sequence().extract_words(pos, len, packed.back().data());
         lengths.push_back(len);
     }
     std::vector<std::uint32_t> order;
     std::vector<align::LengthBucket> buckets;
-    const std::uint8_t* texts[kLanes];
+    align::MyersSimdEngine::PackedWindow lanes[kLanes];
     align::MyersMatcher::BoundedHit hits[kLanes];
     std::uint64_t accepted = 0;
     for (auto _ : state) {
@@ -269,9 +271,10 @@ void BM_Verify_MyersBatchedMixedLengths(benchmark::State& state) {
             std::uint32_t i = 0;
             while (bucket.count - i >= kLanes) {
                 for (std::size_t l = 0; l < kLanes; ++l) {
-                    texts[l] = windows[order[bucket.first + i + l]].data();
+                    lanes[l] = {packed[order[bucket.first + i + l]].data(),
+                                0};
                 }
-                engine.best_in_bounded_multi(texts, kLanes, bucket.length,
+                engine.best_in_bounded_multi(lanes, kLanes, bucket.length,
                                              5, hits);
                 for (std::size_t l = 0; l < kLanes; ++l) {
                     accepted += hits[l].distance <= 5 ? 1 : 0;
@@ -291,46 +294,14 @@ void BM_Verify_MyersBatchedMixedLengths(benchmark::State& state) {
 }
 BENCHMARK(BM_Verify_MyersBatchedMixedLengths);
 
-void BM_Prefilter_RejectRandom(benchmark::State& state) {
-    // The prefilter's money case: a false-positive candidate window,
-    // killed without running Myers at all.
-    const auto& w = workload();
-    const auto& read = w.reads.batch.reads[3];
-    align::Prefilter filter;
-    filter.set_pattern(read.codes);
-    // A window the read does NOT come from (origin of another read).
-    std::vector<std::uint64_t> words(util::PackedDna::packed_word_count(110));
-    w.reference.sequence().extract_words(w.reads.origins[200].position,
-                                         110, words.data());
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(filter.admits(words.data(), 0, 110, 5));
-    }
-}
-BENCHMARK(BM_Prefilter_RejectRandom);
-
-void BM_Prefilter_AcceptPlanted(benchmark::State& state) {
-    // True-positive window: the early accept exit fires on the group
-    // containing the real alignment.
-    const auto& w = workload();
-    const auto& read = w.reads.batch.reads[3];
-    align::Prefilter filter;
-    filter.set_pattern(read.codes);
-    std::vector<std::uint64_t> words(util::PackedDna::packed_word_count(110));
-    w.reference.sequence().extract_words(w.reads.origins[3].position, 110,
-                                         words.data());
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(filter.admits(words.data(), 0, 110, 5));
-    }
-}
-BENCHMARK(BM_Prefilter_AcceptPlanted);
-
 // The table1-workload candidate mix: every candidate window the DP
 // seeder produces for the first 64 reads on BOTH strands, exactly as
 // the kernel verifies them (the reverse-complement pass contributes
 // most of the false positives — true hits and false candidates appear
 // in their real ~1:1 ratio). _Baseline is the pre-funnel path (byte
-// window + full best_in per candidate); _Full is the three-layer
-// funnel. The BENCH_kernels.json acceptance gate compares these two.
+// window + full best_in per candidate); _Full is the funnel's scalar
+// path (one byte fetch per coalesced group, δ-banded Myers); _FullSimd
+// is the kernel's default lane-batched path over packed words.
 struct FunnelMix {
     struct PerStrand {
         std::vector<std::uint8_t> codes;
@@ -403,19 +374,16 @@ void BM_VerifyFunnel_Full(benchmark::State& state) {
     const auto& mix = funnel_mix();
     const auto text_len = static_cast<std::uint32_t>(w.fm->size());
     align::MyersMatcher matcher;
-    align::Prefilter filter;
     std::vector<std::uint8_t> window;
-    std::vector<std::uint64_t> words;
     std::size_t i = 0;
     std::int64_t verified = 0;
     std::uint64_t accepted = 0;
     for (auto _ : state) {
         const auto& pr = mix.jobs[i++ % mix.jobs.size()];
-        filter.set_pattern(pr.codes);
-        bool matcher_set = false; // deferred, as in the kernel
+        matcher.set_pattern(pr.codes);
         const auto n = static_cast<std::uint32_t>(pr.codes.size());
         for (const auto& group : pr.candidates.groups) {
-            bool have_words = false, have_bytes = false;
+            bool fetched = false;
             for (std::uint32_t ci = 0; ci < group.count; ++ci) {
                 const std::uint32_t start =
                     pr.candidates.positions[group.first + ci];
@@ -424,35 +392,16 @@ void BM_VerifyFunnel_Full(benchmark::State& state) {
                     std::min<std::uint32_t>(n + 10, text_len - win_lo);
                 if (win_len + 5 < n) continue;
                 ++verified;
-                if (!have_words) {
-                    words.resize(
-                        util::PackedDna::packed_word_count(group.len));
-                    w.reference.sequence().extract_words(
-                        group.lo, group.len, words.data());
-                    have_words = true;
-                }
-                if (!filter.admits(words.data(), win_lo - group.lo,
-                                   win_len, 5)) {
-                    continue;
-                }
-                if (filter.last_exact()) {
-                    ++accepted; // certified distance 0, Myers skipped
-                    continue;
-                }
-                if (!have_bytes) {
+                if (!fetched) {
                     window.resize(group.len);
                     w.reference.sequence().extract(group.lo, group.len,
                                                    window.data());
-                    have_bytes = true;
+                    fetched = true;
                 }
                 const std::span<const std::uint8_t> text{
                     window.data() + (win_lo - group.lo), win_len};
-                if (!matcher_set) {
-                    matcher.set_pattern(pr.codes);
-                    matcher_set = true;
-                }
-                const auto hit = matcher.best_in_bounded(text, 5);
-                accepted += hit.distance <= 5 ? 1 : 0;
+                accepted +=
+                    matcher.best_in_bounded(text, 5).distance <= 5 ? 1 : 0;
             }
         }
     }
@@ -462,24 +411,25 @@ void BM_VerifyFunnel_Full(benchmark::State& state) {
 BENCHMARK(BM_VerifyFunnel_Full);
 
 void BM_VerifyFunnel_FullSimd(benchmark::State& state) {
-    // BM_VerifyFunnel_Full with the kernel's deferred lane-batched
-    // verification on top: Myers survivors queue as jobs, are bucketed
-    // by clamped length, and run kLanes at a time with a scalar tail.
-    // On this real candidate mix most strands carry a single window
-    // (only multimapping repeat reads fill batches), so the value of
-    // this bench is pinning the dispatch overhead at realistic — low —
-    // occupancy; BM_Verify_MyersBandedBatched shows the full-lane gain.
+    // The kernel's deferred lane-batched verification: each coalesced
+    // group's packed words are fetched once into a word arena, windows
+    // queue as jobs, are bucketed by clamped length, and run kLanes at
+    // a time straight from the packed words; partial-bucket tails
+    // unpack their window and run scalar. On this real candidate mix
+    // many strands carry a single window (only multimapping repeat
+    // reads fill batches), so this bench pins the dispatch overhead at
+    // realistic occupancy; BM_Verify_MyersBandedBatched shows the
+    // full-lane gain.
     const auto& w = workload();
     const auto& mix = funnel_mix();
     const auto text_len = static_cast<std::uint32_t>(w.fm->size());
     constexpr std::size_t kLanes = align::MyersSimdEngine::kLanes;
     align::MyersSimdEngine engine;
     align::MyersMatcher matcher;
-    align::Prefilter filter;
-    std::vector<std::uint8_t> arena;
-    std::vector<std::uint64_t> words;
+    std::vector<std::uint64_t> arena;
+    std::vector<std::uint8_t> window;
     struct Job {
-        std::uint32_t arena_off, win_len;
+        std::uint32_t win_lo, arena_base, win_len;
     };
     std::vector<Job> jobs;
     std::vector<std::uint32_t> lengths, order;
@@ -489,14 +439,13 @@ void BM_VerifyFunnel_FullSimd(benchmark::State& state) {
     std::uint64_t accepted = 0;
     for (auto _ : state) {
         const auto& pr = mix.jobs[i++ % mix.jobs.size()];
-        filter.set_pattern(pr.codes);
         bool engine_set = false, matcher_set = false;
         const auto n = static_cast<std::uint32_t>(pr.codes.size());
         arena.clear();
         jobs.clear();
         for (const auto& group : pr.candidates.groups) {
-            bool have_words = false, have_bytes = false;
-            std::uint32_t group_off = 0;
+            bool fetched = false;
+            std::uint32_t group_base = 0;
             for (std::uint32_t ci = 0; ci < group.count; ++ci) {
                 const std::uint32_t start =
                     pr.candidates.positions[group.first + ci];
@@ -505,48 +454,36 @@ void BM_VerifyFunnel_FullSimd(benchmark::State& state) {
                     std::min<std::uint32_t>(n + 10, text_len - win_lo);
                 if (win_len + 5 < n) continue;
                 ++verified;
-                if (!have_words) {
-                    words.resize(
-                        util::PackedDna::packed_word_count(group.len));
+                if (!fetched) {
+                    const std::size_t word_off = arena.size();
+                    arena.resize(word_off + util::PackedDna::packed_word_count(
+                                                group.len));
                     w.reference.sequence().extract_words(
-                        group.lo, group.len, words.data());
-                    have_words = true;
+                        group.lo, group.len, arena.data() + word_off);
+                    group_base = static_cast<std::uint32_t>(word_off * 32);
+                    fetched = true;
                 }
-                if (!filter.admits(words.data(), win_lo - group.lo,
-                                   win_len, 5)) {
-                    continue;
-                }
-                if (filter.last_exact()) {
-                    ++accepted;
-                    continue;
-                }
-                if (!have_bytes) {
-                    group_off = static_cast<std::uint32_t>(arena.size());
-                    arena.resize(arena.size() + group.len);
-                    w.reference.sequence().extract(
-                        group.lo, group.len, arena.data() + group_off);
-                    have_bytes = true;
-                }
-                jobs.push_back({group_off + (win_lo - group.lo), win_len});
+                jobs.push_back(
+                    {win_lo, group_base + (win_lo - group.lo), win_len});
             }
         }
         lengths.clear();
         for (const auto& job : jobs) lengths.push_back(job.win_len);
         align::bucket_by_length(lengths, order, buckets);
-        const std::uint8_t* texts[kLanes];
+        align::MyersSimdEngine::PackedWindow lanes[kLanes];
         align::MyersMatcher::BoundedHit hits[kLanes];
         for (const auto& bucket : buckets) {
             std::uint32_t k = 0;
             while (bucket.count - k >= kLanes) {
                 for (std::size_t l = 0; l < kLanes; ++l) {
-                    texts[l] = arena.data() +
-                               jobs[order[bucket.first + k + l]].arena_off;
+                    lanes[l] = {arena.data(),
+                                jobs[order[bucket.first + k + l]].arena_base};
                 }
                 if (!engine_set) {
                     engine.set_pattern(pr.codes);
                     engine_set = true;
                 }
-                engine.best_in_bounded_multi(texts, kLanes, bucket.length,
+                engine.best_in_bounded_multi(lanes, kLanes, bucket.length,
                                              5, hits);
                 for (std::size_t l = 0; l < kLanes; ++l) {
                     accepted += hits[l].distance <= 5 ? 1 : 0;
@@ -559,10 +496,11 @@ void BM_VerifyFunnel_FullSimd(benchmark::State& state) {
                     matcher.set_pattern(pr.codes);
                     matcher_set = true;
                 }
-                const std::span<const std::uint8_t> text{
-                    arena.data() + job.arena_off, job.win_len};
+                window.resize(job.win_len);
+                w.reference.sequence().extract(job.win_lo, job.win_len,
+                                               window.data());
                 accepted +=
-                    matcher.best_in_bounded(text, 5).distance <= 5 ? 1 : 0;
+                    matcher.best_in_bounded(window, 5).distance <= 5 ? 1 : 0;
             }
         }
     }

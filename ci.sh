@@ -125,7 +125,7 @@ if has_tier tier1; then
         --benchmark_filter='BM_Fm|BM_Seeder|BM_Cigar' >/dev/null
     ./build/bench/micro_kernels --benchmark_min_time="$MIN_TIME" \
         --benchmark_repetitions="$REPS" \
-        --benchmark_filter='BM_Verify_Myers|BM_Verify_MyersBanded|BM_Prefilter|BM_VerifyFunnel' \
+        --benchmark_filter='BM_Verify_Myers|BM_Verify_MyersBanded|BM_VerifyFunnel' \
         >/dev/null
 fi
 
@@ -187,11 +187,13 @@ if has_tier asan; then
     # arithmetic over foreign bytes.
     ./build-asan/tests/test_rix
     # Funnel equivalence (layer toggles byte-identical) under ASan: the
-    # prefilter's packed-word sweep and the banded scan's segment
-    # pointers are exactly the code most likely to read out of bounds.
+    # packed-word window fetch into the lane arena and the banded scan's
+    # segment pointers are exactly the code most likely to read out of
+    # bounds.
     ./build-asan/tests/test_funnel
     # Lane-batched Myers differential harness: the column-major staging
-    # transpose and per-lane arena pointers under ASan.
+    # transpose reading packed words at every base offset, and windows
+    # ending in a reference's partial last word, under ASan.
     ./build-asan/tests/test_myers_simd
     # Bit-vector CIGAR traceback against the full-table oracle: the
     # traceback indexes the stored column deltas by row and column, and

@@ -30,8 +30,9 @@
 // them; and a single 512-bit vector type triggers generic (memory-
 // bound) lowering on non-AVX512 targets. The bottom-row bookkeeping
 // (best-so-far, early-exit test) is compare/blend vector code too; the
-// only scalar work left is one symbol-transpose pass per batch and a
-// rare finalize step on the columns where a lane actually settles.
+// only scalar work left is one packed-word transpose pass per batch
+// and a rare finalize step on the columns where a lane actually
+// settles.
 // Compilers without the GNU vector extension compile the same
 // algorithm over a plain-array lane type with identical operator
 // semantics, so every backend shares one source of truth.
@@ -436,7 +437,7 @@ void MyersSimdEngine::set_pattern(std::span<const std::uint8_t> pattern) {
 }
 
 void MyersSimdEngine::best_in_bounded_multi(
-    const std::uint8_t* const* texts, std::size_t count,
+    const PackedWindow* windows, std::size_t count,
     std::size_t text_length, std::uint32_t delta,
     MyersMatcher::BoundedHit* out) const noexcept {
     using lanes::any;
@@ -460,20 +461,36 @@ void MyersSimdEngine::best_in_bounded_multi(
     const std::uint64_t* const peq = peq_.data();
     const std::size_t words = words_;
 
-    // One symbol-transpose pass: tsym[j*L + l] = texts[l][j], widened
-    // to 64 bits so every column is one contiguous lane-row load and
-    // the Eq lookup becomes a compare/blend against the four symbol
-    // rows of Peq. Dead padding lanes (l >= count) replay lane 0 so
-    // nothing reads out of bounds; their results are never written
-    // back.
-    tsym_.resize(static_cast<std::size_t>(t) * L);
-    std::uint64_t* const tsym = tsym_.data();
+    // One transpose pass over packed words, not bases: each lane's
+    // window is re-cut into words aligned to its own first base (word k
+    // holds window bases [32k, 32k + 32)), stored lane-interleaved as
+    // twords[k*L + l]. Column j then reads every lane's symbol at once
+    // as (row j/32 >> 2·(j%32)) & 3 — the same shift in every lane —
+    // and the Eq lookup is a compare/blend against the four symbol rows
+    // of Peq. A lane reads only the words holding its window's bases.
+    // Dead padding lanes (l >= count) replay lane 0 so nothing reads
+    // out of bounds; their results are never written back.
+    const std::size_t n_words = (text_length + 31) / 32;
+    twords_.resize(n_words * L);
+    std::uint64_t* const twords = twords_.data();
     for (std::size_t l = 0; l < L; ++l) {
-        const std::uint8_t* const text = texts[l < count ? l : 0];
-        for (std::int64_t j = 0; j < t; ++j) {
-            tsym[static_cast<std::size_t>(j) * L + l] = text[j];
+        const PackedWindow& window = windows[l < count ? l : 0];
+        const std::uint64_t* const src = window.words + (window.base >> 5);
+        const std::size_t shift = (window.base & 31) * 2;
+        const std::size_t last_word = (shift / 2 + text_length - 1) >> 5;
+        for (std::size_t k = 0; k < n_words; ++k) {
+            std::uint64_t v = src[k] >> shift;
+            if (shift != 0 && k < last_word) v |= src[k + 1] << (64 - shift);
+            twords[k * L + l] = v;
         }
     }
+    const U threev = ubc(3);
+    const auto symbols = [&](std::int64_t col) {
+        const auto c = static_cast<std::size_t>(col);
+        return (loadu(twords + (c >> 5) * L) >>
+                static_cast<unsigned>((c & 31) * 2)) &
+               threev;
+    };
 
     // Lane state: lane l of vector word w is candidate l's word w.
     U vp[kMaxWords];
@@ -580,7 +597,7 @@ void MyersSimdEngine::best_in_bounded_multi(
             U vpw = vp[w];
             U vnw = vn[w];
             for (; j < seg_end && n_live > 0; ++j) {
-                const U sym = loadu(tsym + static_cast<std::size_t>(j) * L);
+                const U sym = symbols(j);
                 const U eq =
                     select(sym == U{}, p0,
                            select(sym == onev, p1,
@@ -608,7 +625,7 @@ void MyersSimdEngine::best_in_bounded_multi(
             const U twov = ubc(2);
             const U phinv = ubc(ph_in);
             for (; j < seg_end && n_live > 0; ++j) {
-                const U sym = loadu(tsym + static_cast<std::size_t>(j) * L);
+                const U sym = symbols(j);
                 const S is0 = sym == U{};
                 const S is1 = sym == onev;
                 const S is2 = sym == twov;

@@ -79,14 +79,23 @@ public:
     /// MyersMatcher::set_pattern (no allocation once warmed).
     void set_pattern(std::span<const std::uint8_t> pattern);
 
-    /// Batched δ-banded early-exit scan: texts[0..count) all point at
-    /// windows of exactly `text_length` bases (codes 0..3). Writes
-    /// out[i] = MyersMatcher(pattern).best_in_bounded(texts[i], delta)
+    /// One lane's candidate window, read straight from 2-bit packed
+    /// words in the util::PackedDna layout (base i at bits
+    /// [2(i%32), 2(i%32)+2) of words[i/32]): the window starts at base
+    /// `base` of `words`, at any offset within a word.
+    struct PackedWindow {
+        const std::uint64_t* words = nullptr;
+        std::size_t base = 0;
+    };
+
+    /// Batched δ-banded early-exit scan: windows[0..count) each hold
+    /// exactly `text_length` bases. Writes
+    /// out[i] = MyersMatcher(pattern).best_in_bounded(window i, delta)
     /// — bit-for-bit, including the early_exit flag — for every lane.
     /// count must be in [1, kLanes]; unused lanes cost vector width,
     /// not correctness (partial batches are valid, the kernel simply
     /// prefers its scalar tail fallback for them).
-    void best_in_bounded_multi(const std::uint8_t* const* texts,
+    void best_in_bounded_multi(const PackedWindow* windows,
                                std::size_t count, std::size_t text_length,
                                std::uint32_t delta,
                                MyersMatcher::BoundedHit* out) const noexcept;
@@ -106,11 +115,12 @@ private:
     std::size_t words_ = 0;
     std::uint64_t top_mask_ = 0;
     std::vector<std::uint64_t> peq_; ///< Peq[c * words_ + w]
-    /// Column-major symbol staging: tsym_[j * kLanes + l] = texts[l][j],
-    /// widened to 64 bits so every column reads one contiguous lane row.
+    /// Lane-interleaved window words: twords_[k * kLanes + l] = bases
+    /// [32k, 32k + 32) of window l, realigned to the window's first
+    /// base, so every column reads one contiguous lane row.
     /// Grows to the longest window seen, then reuses capacity (the
     /// zero-allocation steady-state contract of KernelScratch).
-    mutable std::vector<std::uint64_t> tsym_;
+    mutable std::vector<std::uint64_t> twords_;
     mutable std::uint64_t last_word_ops_ = 0;
 };
 

@@ -23,7 +23,8 @@ struct AnnotateScratch {
 
 std::optional<AnnotatedMapping> annotate_mapping(
     const genomics::Reference& reference, const genomics::Read& read,
-    const ReadMapping& mapping, std::uint32_t delta) {
+    const ReadMapping& mapping, std::uint32_t delta,
+    std::span<const std::uint8_t> reverse) {
     const auto n = static_cast<std::uint32_t>(read.length());
     const auto text_len = static_cast<std::uint32_t>(reference.size());
 
@@ -36,8 +37,11 @@ std::optional<AnnotatedMapping> annotate_mapping(
     thread_local AnnotateScratch scratch;
     std::span<const std::uint8_t> pattern = read.codes;
     if (mapping.strand == genomics::Strand::Reverse) {
-        read.reverse_complement(scratch.reverse);
-        pattern = scratch.reverse;
+        if (reverse.empty()) {
+            read.reverse_complement(scratch.reverse);
+            reverse = scratch.reverse;
+        }
+        pattern = reverse;
     }
     scratch.window.resize(win_len);
     reference.sequence().extract(win_lo, win_len, scratch.window.data());

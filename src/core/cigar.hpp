@@ -12,7 +12,9 @@
 // traceback, paid only for the mappings actually emitted, with no
 // per-mapping allocation beyond the CIGAR string.
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "core/mapping.hpp"
@@ -28,9 +30,13 @@ struct AnnotatedMapping {
 
 /// Re-aligns one mapping. Returns std::nullopt when the re-alignment
 /// cannot reproduce a distance <= delta (should not happen for kernel
-/// output; guards against stale results).
+/// output; guards against stale results). `reverse`, when non-empty,
+/// must be the read's reverse complement: a caller re-aligning several
+/// records of one read builds it once; otherwise a reverse-strand
+/// mapping builds it here.
 std::optional<AnnotatedMapping> annotate_mapping(
     const genomics::Reference& reference, const genomics::Read& read,
-    const ReadMapping& mapping, std::uint32_t delta);
+    const ReadMapping& mapping, std::uint32_t delta,
+    std::span<const std::uint8_t> reverse = {});
 
 } // namespace repute::core

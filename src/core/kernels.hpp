@@ -22,7 +22,6 @@
 
 #include "align/myers.hpp"
 #include "align/myers_simd.hpp"
-#include "align/prefilter.hpp"
 #include "core/mapping.hpp"
 #include "filter/candidates.hpp"
 #include "filter/seed.hpp"
@@ -49,7 +48,6 @@ struct OpWeights {
     /// bottom-row bookkeeping, ~3x measured) but amortized over 8
     /// lanes, so a full batch models ~2.5x cheaper per candidate.
     std::uint64_t simd_word = 13;
-    std::uint64_t prefilter_word = 1; ///< one packed XOR/AND/popcount word
     std::uint64_t per_candidate = 48; ///< window fetch + dedup
 };
 
@@ -68,16 +66,15 @@ struct KernelConfig {
     /// Each is output-neutral — mapping results are byte-identical with
     /// any combination toggled off; the toggles exist as debugging
     /// escape hatches and for before/after benchmarks.
-    bool prefilter = true;           ///< bit-parallel pre-alignment reject
     bool banded_verification = true; ///< δ-banded early-exit Myers
     bool coalesce_windows = true;    ///< shared fetch of overlapping windows
-    /// Lane-batched Myers verification: windows surviving the prefilter
-    /// are queued, bucketed by clamped window length (so vector lanes
-    /// never diverge), and verified MyersSimdEngine::kLanes at a time;
-    /// partial buckets fall back to the scalar banded scan. Requires
-    /// banded_verification (the engine replicates best_in_bounded);
-    /// with it off this toggle is inert. Output-neutral like the other
-    /// funnel layers.
+    /// Lane-batched Myers verification: candidate windows are queued,
+    /// bucketed by clamped window length (so vector lanes never
+    /// diverge), and verified MyersSimdEngine::kLanes at a time
+    /// straight from packed reference words; partial buckets fall back
+    /// to the scalar banded scan. Requires banded_verification (the
+    /// engine replicates best_in_bounded); with it off this toggle is
+    /// inert. Output-neutral like the other funnel layers.
     bool simd_verification = true;
     /// Ownership window for sharded mapping: only candidate diagonals in
     /// [report_lo, report_hi) are verified and reported. Shard kernels
@@ -103,8 +100,10 @@ struct StageTotals : obs::StageCounters {
     std::uint64_t raw_hits = 0; ///< seed hits before diagonal collapse
     std::uint64_t accepted = 0; ///< mappings written (pre-merge)
     // Verification-funnel effectiveness.
-    std::uint64_t prefilter_rejects = 0;  ///< windows killed before Myers
-    std::uint64_t prefilter_exacts = 0;   ///< exact certificates, Myers skipped
+    /// Always 0: the SHD prefilter layer these counted is gone. Kept
+    /// because the end-to-end benchmark still reports them.
+    std::uint64_t prefilter_rejects = 0;
+    std::uint64_t prefilter_exacts = 0;
     std::uint64_t myers_early_exits = 0;  ///< banded scans abandoned early
     std::uint64_t windows_coalesced = 0;  ///< windows sharing a fetch
     // Lane-batched verification effectiveness.
@@ -115,25 +114,17 @@ struct StageTotals : obs::StageCounters {
     StageTotals& operator+=(const StageTotals& other) noexcept;
 };
 
-/// A Myers verification deferred for lane-batching: the candidate's
-/// window bytes are staged in KernelScratch::simd_arena and the scan
-/// result is filled in by the batched dispatch.
+/// A Myers verification deferred for lane-batching, recorded in
+/// candidate order: the window's packed words are staged in
+/// KernelScratch::simd_arena, the batched dispatch fills in the scan
+/// result, and the jobs then replay into the output in order, exactly
+/// where the inline scalar loop would have pushed them (first-n cap
+/// semantics included).
 struct VerifyJob {
-    std::uint32_t position = 0;  ///< candidate diagonal (mapping position)
-    std::uint32_t arena_off = 0; ///< window start in simd_arena
-    std::uint32_t win_len = 0;   ///< clamped window length (bucket key)
-    std::uint32_t distance = 0;  ///< filled by dispatch
-    bool early_exit = false;     ///< filled by dispatch
-};
-
-/// One would-be acceptance decision, recorded in candidate order so the
-/// deferred batch results can be replayed into the output exactly where
-/// the inline scalar loop would have pushed them (first-n cap
-/// semantics included). job < 0 marks a prefilter exact certificate
-/// (distance 0, no Myers scan).
-struct VerifyDecision {
-    std::uint32_t position = 0;
-    std::int32_t job = -1;
+    std::uint32_t position = 0;   ///< candidate diagonal (mapping position)
+    std::uint32_t arena_base = 0; ///< window's first base in simd_arena
+    std::uint32_t win_len = 0;    ///< clamped window length (bucket key)
+    std::uint32_t distance = 0;   ///< filled by dispatch
 };
 
 /// Per-work-item reusable buffers: every transient the kernel needs —
@@ -148,19 +139,16 @@ struct KernelScratch {
     filter::CandidateSet candidates;
     std::vector<std::uint32_t> hits;   ///< per-seed locate buffer
     std::vector<std::uint8_t> window;  ///< candidate reference window
-    std::vector<std::uint64_t> win_words; ///< 2-bit packed window (prefilter)
     std::vector<std::uint8_t> rc_codes;///< reverse-complemented read
     align::MyersMatcher matcher;
-    align::Prefilter prefilter;
-    // Lane-batched verification staging (simd_verification): group
-    // windows land in the arena (still one fetch per coalesced group),
-    // jobs/decisions record the deferred scans, and the bucket tables
+    // Lane-batched verification staging (simd_verification): each
+    // coalesced group's packed words land in the arena (one fetch per
+    // group), jobs record the deferred scans, and the bucket tables
     // drive the length-homogeneous dispatch. All reuse capacity — the
     // zero-allocation steady state holds with the batched path on.
     align::MyersSimdEngine simd_engine;
-    std::vector<std::uint8_t> simd_arena;
+    std::vector<std::uint64_t> simd_arena;
     std::vector<VerifyJob> simd_jobs;
-    std::vector<VerifyDecision> simd_decisions;
     std::vector<std::uint32_t> simd_job_lengths;
     std::vector<std::uint32_t> simd_order;
     std::vector<align::LengthBucket> simd_buckets;
@@ -186,7 +174,7 @@ std::uint64_t map_read_workitem(const index::FmIndex& fm,
 /// Static private-memory requirement per work-item for a launch with
 /// these parameters (seeder scratch + verification window + Myers state
 /// + dedup cache). Drives GPU occupancy and out-of-resource behavior.
-/// The lane-batch staging buffers (simd_arena, jobs, decisions) are
+/// The lane-batch staging buffers (simd_arena, jobs) are
 /// host-side re-ordering scratch, not part of the modeled per-work-item
 /// OpenCL private memory, so they are deliberately excluded.
 std::uint64_t kernel_scratch_bytes(const filter::Seeder& seeder,

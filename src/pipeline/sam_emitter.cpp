@@ -1,29 +1,49 @@
 #include "pipeline/sam_emitter.hpp"
 
+#include <charconv>
 #include <optional>
 #include <ostream>
-#include <sstream>
+#include <span>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/cigar.hpp"
 #include "util/packed_dna.hpp"
 
 namespace repute::pipeline {
 
+/// One SAM line's fields, the strings borrowed from per-read buffers so
+/// a record costs no string copies.
+struct SamEmitter::Line {
+    std::string_view qname;
+    std::uint16_t flag = 0;
+    std::string_view rname = "*"; ///< stays '*' on unmapped records
+    std::uint32_t pos = 0;
+    std::string_view cigar = "*";
+    std::string_view rnext = "*";
+    std::uint32_t pnext = 0;
+    std::int32_t tlen = 0;
+    std::string_view seq = "*";
+    std::uint32_t edit_distance = 0;
+};
+
 namespace {
+
+template <typename T>
+void append_number(std::string& out, T value) {
+    char buf[16];
+    const auto end = std::to_chars(buf, buf + sizeof buf, value).ptr;
+    out.append(buf, end);
+}
 
 /// SEQ as SAM §1.4 wants it: on a reverse-strand (0x10) record it is
 /// the read's reverse complement, so it reads along the forward strand
-/// like POS and the CIGAR.
-std::string sam_seq(const genomics::Read& read, genomics::Strand strand) {
-    if (strand == genomics::Strand::Forward) return read.to_string();
-    const std::size_t n = read.length();
-    std::string seq(n, '\0');
-    for (std::size_t i = 0; i < n; ++i) {
-        seq[i] = util::code_to_base(
-            util::complement_code(read.codes[n - 1 - i]));
+/// like POS and the CIGAR. `codes` is the strand's code sequence.
+void set_seq(std::string& seq, std::span<const std::uint8_t> codes) {
+    seq.resize(codes.size());
+    for (std::size_t i = 0; i < codes.size(); ++i) {
+        seq[i] = util::code_to_base(codes[i]);
     }
-    return seq;
 }
 
 } // namespace
@@ -42,17 +62,31 @@ void SamEmitter::write_header() {
     *out_ << "@PG\tID:repute\tPN:repute\tVN:1.0.0\n";
 }
 
-void SamEmitter::write_record(std::ostream& out,
-                              const genomics::SamRecord& rec) {
-    out << rec.qname << '\t' << rec.flag << '\t'
-        << (rec.unmapped() ? "*" : rec.rname) << '\t' << rec.pos << '\t'
-        << static_cast<unsigned>(rec.mapq) << '\t' << rec.cigar << '\t'
-        << rec.rnext << '\t' << rec.pnext << '\t' << rec.tlen << '\t'
-        << rec.seq << "\t*\tNM:i:" << rec.edit_distance << '\n';
+void SamEmitter::write_record(std::string& out, const Line& line) {
+    out.append(line.qname);
+    out += '\t';
+    append_number(out, line.flag);
+    out += '\t';
+    out.append(line.rname);
+    out += '\t';
+    append_number(out, line.pos);
+    out.append("\t255\t");
+    out.append(line.cigar);
+    out += '\t';
+    out.append(line.rnext);
+    out += '\t';
+    append_number(out, line.pnext);
+    out += '\t';
+    append_number(out, line.tlen);
+    out += '\t';
+    out.append(line.seq);
+    out.append("\t*\tNM:i:");
+    append_number(out, line.edit_distance);
+    out += '\n';
     ++stats_.records;
 }
 
-void SamEmitter::emit_read(std::ostream& out,
+void SamEmitter::emit_read(std::string& out,
                            const genomics::ReadBatch& batch,
                            std::size_t index,
                            const core::MapResult& result) {
@@ -62,45 +96,57 @@ void SamEmitter::emit_read(std::ostream& out,
     // carry the class ceiling there (virtual padding), and boundary
     // checks must see the true footprint.
     const auto read_len = static_cast<std::uint32_t>(read.length());
+    // SEQ in both orientations and the reverse-complement codes are
+    // built at most once per read, whatever its record count.
+    bool have_forward = false;
+    bool have_reverse = false;
     std::size_t emitted = 0;
-    bool first = true;
     for (const auto& m : result.per_read[index]) {
         if (!multi_->within_one_sequence(m.position, read_len)) {
             ++stats_.dropped_boundary;
             continue;
         }
-        genomics::SamRecord rec;
-        rec.qname = read.name;
-        rec.seq = sam_seq(read, m.strand);
-        rec.edit_distance = m.edit_distance;
-        if (m.strand == genomics::Strand::Reverse) {
-            rec.flag |= genomics::SamRecord::kFlagReverse;
+        const bool reverse = m.strand == genomics::Strand::Reverse;
+        if (reverse && !have_reverse) {
+            read.reverse_complement(rc_codes_);
+            set_seq(reverse_seq_, rc_codes_);
+            have_reverse = true;
+        } else if (!reverse && !have_forward) {
+            set_seq(forward_seq_, read.codes);
+            have_forward = true;
         }
-        if (!first) rec.flag |= genomics::SamRecord::kFlagSecondary;
+        Line line;
+        line.qname = read.name;
+        line.seq = reverse ? reverse_seq_ : forward_seq_;
+        line.edit_distance = m.edit_distance;
+        if (reverse) line.flag |= genomics::SamRecord::kFlagReverse;
+        if (emitted != 0) line.flag |= genomics::SamRecord::kFlagSecondary;
         std::uint32_t global_pos = m.position;
+        std::optional<core::AnnotatedMapping> annotated;
         if (config_.cigar) {
-            const auto annotated = core::annotate_mapping(
-                reference, read, m, config_.delta);
+            annotated = core::annotate_mapping(
+                reference, read, m, config_.delta,
+                reverse ? std::span<const std::uint8_t>(rc_codes_)
+                        : std::span<const std::uint8_t>());
             if (!annotated.has_value()) {
                 ++stats_.dropped_cigar;
                 continue;
             }
-            rec.cigar = annotated->cigar;
-            rec.edit_distance = annotated->mapping.edit_distance;
+            line.cigar = annotated->cigar;
+            line.edit_distance = annotated->mapping.edit_distance;
             global_pos = annotated->precise_position;
         }
         const auto loc = multi_->resolve(global_pos);
-        rec.rname = multi_->sequence_name(loc.sequence_index);
-        rec.pos = loc.offset + 1;
-        write_record(out, rec);
-        first = false;
+        line.rname = multi_->sequence_name(loc.sequence_index);
+        line.pos = loc.offset + 1;
+        write_record(out, line);
         ++emitted;
     }
     if (emitted == 0) {
-        genomics::SamRecord rec;
-        rec.qname = read.name;
-        rec.flag = genomics::SamRecord::kFlagUnmapped;
-        write_record(out, rec);
+        Line line;
+        line.qname = read.name;
+        line.flag = genomics::SamRecord::kFlagUnmapped;
+        write_record(out, line);
     }
     ++stats_.reads;
 }
@@ -108,9 +154,9 @@ void SamEmitter::emit_read(std::ostream& out,
 std::string SamEmitter::render_read(const genomics::ReadBatch& batch,
                                     std::size_t index,
                                     const core::MapResult& result) {
-    std::ostringstream buf;
-    emit_read(buf, batch, index, result);
-    return std::move(buf).str();
+    line_buffer_.clear();
+    emit_read(line_buffer_, batch, index, result);
+    return line_buffer_;
 }
 
 namespace {
@@ -124,7 +170,7 @@ struct Placement {
 
 } // namespace
 
-void SamEmitter::emit_pair(std::ostream& out, const genomics::Read& read1,
+void SamEmitter::emit_pair(std::string& out, const genomics::Read& read1,
                            const genomics::Read& read2,
                            const core::PairMapping& pair) {
     using genomics::SamRecord;
@@ -162,50 +208,52 @@ void SamEmitter::emit_pair(std::ostream& out, const genomics::Read& read1,
     const bool proper =
         same_sequence && (pair.classification == core::PairClass::Proper ||
                           pair.classification == core::PairClass::Rescued);
-    // String (not literal) source: assigning "=" directly trips GCC 12's
-    // -Wrestrict false positive.
-    static const std::string kSame = "=";
-
     const genomics::Read* reads[2] = {&read1, &read2};
     for (int k = 0; k < 2; ++k) {
         const auto& own = placed[k];
         const auto& mate = placed[1 - k];
-        SamRecord rec;
-        rec.qname = reads[k]->name;
-        rec.seq = sam_seq(*reads[k], own ? own->mapping->strand
-                                         : genomics::Strand::Forward);
-        rec.flag = SamRecord::kFlagPaired |
-                   (k == 0 ? SamRecord::kFlagFirstInPair
-                           : SamRecord::kFlagSecondInPair);
-        if (own) {
-            rec.rname = multi_->sequence_name(own->sequence);
-            rec.pos = own->offset + 1;
-            rec.edit_distance = own->mapping->edit_distance;
-            if (own->mapping->strand == genomics::Strand::Reverse) {
-                rec.flag |= SamRecord::kFlagReverse;
-            }
-            if (proper) rec.flag |= SamRecord::kFlagProperPair;
+        const bool reverse =
+            own && own->mapping->strand == genomics::Strand::Reverse;
+        if (reverse) {
+            reads[k]->reverse_complement(rc_codes_);
+            set_seq(reverse_seq_, rc_codes_);
         } else {
-            rec.flag |= SamRecord::kFlagUnmapped;
+            set_seq(forward_seq_, reads[k]->codes);
+        }
+        Line line;
+        line.qname = reads[k]->name;
+        line.seq = reverse ? reverse_seq_ : forward_seq_;
+        line.flag = SamRecord::kFlagPaired |
+                    (k == 0 ? SamRecord::kFlagFirstInPair
+                            : SamRecord::kFlagSecondInPair);
+        if (own) {
+            line.rname = multi_->sequence_name(own->sequence);
+            line.pos = own->offset + 1;
+            line.edit_distance = own->mapping->edit_distance;
+            if (reverse) line.flag |= SamRecord::kFlagReverse;
+            if (proper) line.flag |= SamRecord::kFlagProperPair;
+        } else {
+            line.flag |= SamRecord::kFlagUnmapped;
         }
         if (mate) {
             if (mate->mapping->strand == genomics::Strand::Reverse) {
-                rec.flag |= SamRecord::kFlagMateReverse;
+                line.flag |= SamRecord::kFlagMateReverse;
             }
-            rec.rnext =
-                same_sequence ? kSame : multi_->sequence_name(mate->sequence);
-            rec.pnext = mate->offset + 1;
+            line.rnext = same_sequence
+                             ? std::string_view("=")
+                             : multi_->sequence_name(mate->sequence);
+            line.pnext = mate->offset + 1;
             if (proper) {
                 // Leftmost mate gets +TLEN, rightmost -TLEN.
                 const auto span = static_cast<std::int32_t>(pair.insert_size);
-                rec.tlen = own->mapping->position <= mate->mapping->position
-                               ? span
-                               : -span;
+                line.tlen = own->mapping->position <= mate->mapping->position
+                                ? span
+                                : -span;
             }
         } else {
-            rec.flag |= SamRecord::kFlagMateUnmapped;
+            line.flag |= SamRecord::kFlagMateUnmapped;
         }
-        write_record(out, rec);
+        write_record(out, line);
         ++stats_.reads;
     }
 }
@@ -216,9 +264,10 @@ std::vector<std::string> SamEmitter::render_paired(
     std::vector<std::string> out;
     out.reserve(result.pairs.size());
     for (std::size_t i = 0; i < result.pairs.size(); ++i) {
-        std::ostringstream buf;
-        emit_pair(buf, first.reads[i], second.reads[i], result.pairs[i]);
-        out.push_back(std::move(buf).str());
+        line_buffer_.clear();
+        emit_pair(line_buffer_, first.reads[i], second.reads[i],
+                  result.pairs[i]);
+        out.push_back(line_buffer_);
     }
     return out;
 }

@@ -83,10 +83,11 @@ public:
     const Stats& stats() const noexcept { return stats_; }
 
 private:
-    void write_record(std::ostream& out, const genomics::SamRecord& rec);
-    void emit_read(std::ostream& out, const genomics::ReadBatch& batch,
+    struct Line;
+    void write_record(std::string& out, const Line& line);
+    void emit_read(std::string& out, const genomics::ReadBatch& batch,
                    std::size_t index, const core::MapResult& result);
-    void emit_pair(std::ostream& out, const genomics::Read& read1,
+    void emit_pair(std::string& out, const genomics::Read& read1,
                    const genomics::Read& read2,
                    const core::PairMapping& pair);
 
@@ -94,6 +95,12 @@ private:
     const genomics::MultiReference* multi_;
     SamEmitterConfig config_;
     Stats stats_;
+    // Render scratch reused across reads: the records of one read (or
+    // pair), its SEQ in each orientation and its reverse complement.
+    std::string line_buffer_;
+    std::string forward_seq_;
+    std::string reverse_seq_;
+    std::vector<std::uint8_t> rc_codes_;
 };
 
 /// Restores input order over per-record SAM strings produced out of

@@ -1,6 +1,7 @@
 #include "util/packed_dna.hpp"
 
 #include <array>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -19,6 +20,26 @@ constexpr std::array<std::uint8_t, 256> make_code_table() {
 
 constexpr auto kCodeTable = make_code_table();
 constexpr char kBaseTable[4] = {'A', 'C', 'G', 'T'};
+
+/// kUnpack[b] = the four 2-bit codes of packed byte b, lowest first.
+constexpr std::array<std::array<std::uint8_t, 4>, 256> make_unpack_table() {
+    std::array<std::array<std::uint8_t, 4>, 256> t{};
+    for (std::size_t b = 0; b < 256; ++b) {
+        for (std::size_t i = 0; i < 4; ++i) {
+            t[b][i] = static_cast<std::uint8_t>((b >> (2 * i)) & 3u);
+        }
+    }
+    return t;
+}
+
+constexpr auto kUnpack = make_unpack_table();
+
+/// Expands one packed word (32 bases) into out[0, 32).
+inline void unpack_word(std::uint64_t v, std::uint8_t* out) noexcept {
+    for (std::size_t k = 0; k < 8; ++k) {
+        std::memcpy(out + 4 * k, kUnpack[(v >> (8 * k)) & 0xFFu].data(), 4);
+    }
+}
 
 } // namespace
 
@@ -72,7 +93,15 @@ void PackedDna::push_back(std::uint8_t code) {
 
 void PackedDna::extract(std::size_t pos, std::size_t len,
                         std::uint8_t* out) const noexcept {
-    for (std::size_t i = 0; i < len; ++i) out[i] = code_at(pos + i);
+    std::size_t done = 0;
+    for (; done + 32 <= len; done += 32) {
+        unpack_word(word_at(pos + done), out + done);
+    }
+    if (done < len) {
+        std::uint8_t last[32];
+        unpack_word(word_at(pos + done), last);
+        std::memcpy(out + done, last, len - done);
+    }
 }
 
 std::vector<std::uint8_t> PackedDna::extract(std::size_t pos,
@@ -85,15 +114,7 @@ std::vector<std::uint8_t> PackedDna::extract(std::size_t pos,
 void PackedDna::extract_words(std::size_t pos, std::size_t len,
                               std::uint64_t* out) const noexcept {
     const std::size_t n_out = packed_word_count(len);
-    const std::size_t word = pos >> 5;
-    const std::size_t shift = (pos & 31) * 2;
-    for (std::size_t w = 0; w < n_out; ++w) {
-        std::uint64_t v = words_[word + w] >> shift;
-        if (shift != 0 && word + w + 1 < words_.size()) {
-            v |= words_[word + w + 1] << (64 - shift);
-        }
-        out[w] = v;
-    }
+    for (std::size_t w = 0; w < n_out; ++w) out[w] = word_at(pos + 32 * w);
     // Zero the bits past `len` so callers can mask-free compare.
     const std::size_t tail = len & 31;
     if (tail != 0) out[n_out - 1] &= (1ULL << (tail * 2)) - 1;

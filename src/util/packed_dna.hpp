@@ -80,7 +80,11 @@ public:
 
     void push_back(std::uint8_t code);
 
-    /// Extracts codes [pos, pos+len) into `out` (must hold len bytes).
+    /// Extracts codes [pos, pos+len) into `out` (must hold len bytes),
+    /// a packed word at a time: 32 bases per shift-combined load, 4
+    /// bases per table lookup. The one unpack routine behind every
+    /// byte-window reader (scalar Myers, CIGAR re-alignment, mate
+    /// rescue).
     void extract(std::size_t pos, std::size_t len,
                  std::uint8_t* out) const noexcept;
     std::vector<std::uint8_t> extract(std::size_t pos,
@@ -90,7 +94,7 @@ public:
     /// u64, base i at bits [2i, 2i+2) of out[i/32]) into `out`, which
     /// must hold packed_word_count(len) words. Bits past `len` are
     /// zero. Word-at-a-time shift-combine, not a per-base loop — this
-    /// is the verification prefilter's window fetch.
+    /// is the verification kernel's window fetch.
     void extract_words(std::size_t pos, std::size_t len,
                        std::uint64_t* out) const noexcept;
 
@@ -117,6 +121,18 @@ private:
     std::size_t size_ = 0;
     std::vector<std::uint64_t> owned_words_; // 32 bases per word
     std::span<const std::uint64_t> words_;   ///< owned_words_ or borrowed
+
+    /// The 32 bases starting at `pos`, base pos + i at bits [2i, 2i+2).
+    /// Bases past the end of the sequence read as 0.
+    std::uint64_t word_at(std::size_t pos) const noexcept {
+        const std::size_t word = pos >> 5;
+        const std::size_t shift = (pos & 31) * 2;
+        std::uint64_t v = words_[word] >> shift;
+        if (shift != 0 && word + 1 < words_.size()) {
+            v |= words_[word + 1] << (64 - shift);
+        }
+        return v;
+    }
 
     void set_code(std::size_t i, std::uint8_t code) noexcept {
         const std::size_t shift = (i & 31) * 2;

@@ -278,7 +278,6 @@ TEST(EdgeMapping, ReadsAtReferenceBoundariesMapWithFunnelOnAndOff) {
 
     repute::core::KernelConfig funnel_on;
     repute::core::KernelConfig funnel_off;
-    funnel_off.prefilter = false;
     funnel_off.banded_verification = false;
     funnel_off.coalesce_windows = false;
     const repute::filter::MemoryOptimizedSeeder seeder(12);

@@ -1,7 +1,9 @@
 // Lane-batched Myers verification: differential harness pinning the
-// SIMD engine byte-identical to the scalar banded scan across every
-// geometry the kernel can produce, the bucketing permutation property,
-// and full-mapper SAM equivalence with the batched path on/off.
+// SIMD engine, which reads its windows from 2-bit packed words,
+// byte-identical to the scalar banded scan across every geometry and
+// base offset the kernel can produce, the bucketing permutation
+// property, and full-mapper SAM equivalence with the batched path
+// on/off.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +28,7 @@
 #include "index/fm_index.hpp"
 #include "ocl/device.hpp"
 #include "pipeline/sam_emitter.hpp"
+#include "util/packed_dna.hpp"
 #include "util/prng.hpp"
 
 namespace {
@@ -41,6 +44,8 @@ namespace pipeline = repute::pipeline;
 using align::LengthBucket;
 using align::MyersMatcher;
 using align::MyersSimdEngine;
+using PackedWindow = align::MyersSimdEngine::PackedWindow;
+using repute::util::PackedDna;
 using repute::util::Xoshiro256;
 
 constexpr std::size_t kLanes = MyersSimdEngine::kLanes;
@@ -70,36 +75,65 @@ std::vector<std::uint8_t> mutated_copy(Xoshiro256& rng,
     return base;
 }
 
-/// Runs one batch through the engine and asserts every lane equals the
-/// scalar best_in_bounded on (distance, end column, early-exit flag).
-void expect_lanes_match_scalar(
+/// Packs `window` so that it starts at base `offset` of the returned
+/// words, behind `offset` noise bases — the shape of a candidate window
+/// inside its coalesced group's arena words.
+std::vector<std::uint64_t> pack_at(Xoshiro256& rng,
+                                   const std::vector<std::uint8_t>& window,
+                                   std::size_t offset) {
+    auto codes = random_codes(rng, offset);
+    codes.insert(codes.end(), window.begin(), window.end());
+    const PackedDna packed{std::span<const std::uint8_t>(codes)};
+    return {packed.words().begin(), packed.words().end()};
+}
+
+/// Runs one batch of packed lanes through the engine and asserts every
+/// lane equals the scalar best_in_bounded over the same window's bytes
+/// on (distance, end column, early-exit flag).
+void expect_packed_lanes_match_scalar(
     const std::vector<std::uint8_t>& pattern,
+    const std::vector<PackedWindow>& lanes,
     const std::vector<std::vector<std::uint8_t>>& windows,
     std::uint32_t delta, const char* label) {
     ASSERT_FALSE(windows.empty());
     ASSERT_LE(windows.size(), kLanes);
+    ASSERT_EQ(lanes.size(), windows.size());
     const std::size_t t = windows[0].size();
-    const std::uint8_t* texts[kLanes] = {};
-    for (std::size_t l = 0; l < windows.size(); ++l) {
-        ASSERT_EQ(windows[l].size(), t) << label;
-        texts[l] = windows[l].data();
-    }
+    for (const auto& window : windows) ASSERT_EQ(window.size(), t) << label;
     MyersSimdEngine engine(pattern);
     MyersMatcher matcher(pattern);
     MyersMatcher::BoundedHit out[kLanes];
-    engine.best_in_bounded_multi(texts, windows.size(), t, delta, out);
+    engine.best_in_bounded_multi(lanes.data(), lanes.size(), t, delta, out);
     for (std::size_t l = 0; l < windows.size(); ++l) {
         const auto scalar = matcher.best_in_bounded(windows[l], delta);
-        ASSERT_EQ(out[l].distance, scalar.distance)
-            << label << ": lane " << l << " n=" << pattern.size()
-            << " t=" << t << " delta=" << delta;
-        ASSERT_EQ(out[l].text_end, scalar.text_end)
-            << label << ": lane " << l << " n=" << pattern.size()
-            << " t=" << t << " delta=" << delta;
-        ASSERT_EQ(out[l].early_exit, scalar.early_exit)
-            << label << ": lane " << l << " n=" << pattern.size()
-            << " t=" << t << " delta=" << delta;
+        const auto where = [&] {
+            return std::string(label) + ": lane " + std::to_string(l) +
+                   " n=" + std::to_string(pattern.size()) +
+                   " t=" + std::to_string(t) +
+                   " delta=" + std::to_string(delta) +
+                   " base=" + std::to_string(lanes[l].base);
+        };
+        ASSERT_EQ(out[l].distance, scalar.distance) << where();
+        ASSERT_EQ(out[l].text_end, scalar.text_end) << where();
+        ASSERT_EQ(out[l].early_exit, scalar.early_exit) << where();
     }
+}
+
+/// Byte-window form: lane l's window is packed at base offset
+/// (first_offset + 7·l) mod 32, so one batch mixes word alignments.
+void expect_lanes_match_scalar(
+    const std::vector<std::uint8_t>& pattern,
+    const std::vector<std::vector<std::uint8_t>>& windows,
+    std::uint32_t delta, const char* label, std::size_t first_offset = 0) {
+    Xoshiro256 noise(first_offset + 1);
+    std::vector<std::vector<std::uint64_t>> words;
+    std::vector<PackedWindow> lanes;
+    for (std::size_t l = 0; l < windows.size(); ++l) {
+        const std::size_t offset = (first_offset + 7 * l) % 32;
+        words.push_back(pack_at(noise, windows[l], offset));
+        lanes.push_back({words.back().data(), offset});
+    }
+    expect_packed_lanes_match_scalar(pattern, lanes, windows, delta, label);
 }
 
 // ----------------------------------------------- differential sweep
@@ -169,6 +203,70 @@ TEST(MyersSimdDifferential, BoundaryClampGeometriesMatchScalar) {
                 windows.push_back(std::move(win));
             }
             expect_lanes_match_scalar(pattern, windows, delta, "clamp");
+        }
+    }
+}
+
+TEST(MyersSimdDifferential, PackedLanesAtEveryBaseOffset) {
+    // The engine reads 2-bit codes straight from packed words, at
+    // whatever base offset a window starts inside its group's arena.
+    // Every offset 0-31 for the first lane (the others follow at +7),
+    // with windows long enough to cross several word boundaries.
+    Xoshiro256 rng(3131);
+    for (std::size_t offset = 0; offset < 32; ++offset) {
+        for (const std::size_t n : {std::size_t{13}, std::size_t{64},
+                                    std::size_t{100}, std::size_t{150}}) {
+            const auto delta = static_cast<std::uint32_t>(offset % 9);
+            const auto pattern = random_codes(rng, n);
+            const std::size_t t = n + 2 * delta;
+            std::vector<std::vector<std::uint8_t>> windows;
+            for (std::size_t l = 0; l < kLanes; ++l) {
+                if (rng.chance(0.6)) {
+                    auto win = mutated_copy(rng, pattern,
+                                            rng.bounded(delta + 2));
+                    win.resize(t, static_cast<std::uint8_t>(rng.bounded(4)));
+                    windows.push_back(std::move(win));
+                } else {
+                    windows.push_back(random_codes(rng, t));
+                }
+            }
+            expect_lanes_match_scalar(pattern, windows, delta, "offset",
+                                      offset);
+        }
+    }
+}
+
+TEST(MyersSimdDifferential, PackedLanesClampedAtReferenceEnd) {
+    // Windows clamped at the reference end, read from the reference's
+    // own words: the window's last base is the sequence's last base,
+    // often inside a zero-padded partial last word, and the engine
+    // must not read past that word.
+    Xoshiro256 rng(4242);
+    for (int trial = 0; trial < 40; ++trial) {
+        const std::size_t n = 20 + rng.bounded(140);
+        const auto delta = static_cast<std::uint32_t>(rng.bounded(9));
+        const auto pattern = random_codes(rng, n);
+        const std::size_t clamps[] = {n + delta, n + delta / 2,
+                                      n >= delta ? n - delta : 1};
+        for (const std::size_t t : clamps) {
+            std::vector<PackedDna> refs;
+            std::vector<std::vector<std::uint8_t>> windows;
+            for (std::size_t l = 0; l < kLanes; ++l) {
+                // A random prefix, then a mutated copy of the pattern
+                // cut to the clamped window at the very end.
+                auto codes = random_codes(rng, 40 + rng.bounded(64));
+                auto win = mutated_copy(rng, pattern, rng.bounded(delta + 2));
+                win.resize(t, static_cast<std::uint8_t>(rng.bounded(4)));
+                codes.insert(codes.end(), win.begin(), win.end());
+                refs.emplace_back(std::span<const std::uint8_t>(codes));
+                windows.push_back(std::move(win));
+            }
+            std::vector<PackedWindow> lanes;
+            for (const PackedDna& ref : refs) {
+                lanes.push_back({ref.words().data(), ref.size() - t});
+            }
+            expect_packed_lanes_match_scalar(pattern, lanes, windows, delta,
+                                             "end-clamp");
         }
     }
 }
@@ -256,18 +354,23 @@ TEST(MyersSimdDifferential, MixedBucketDispatchMatchesScalar) {
     std::vector<LengthBucket> buckets;
     align::bucket_by_length(lengths, order, buckets);
 
+    std::vector<std::vector<std::uint64_t>> job_words;
+    for (std::size_t i = 0; i < job_windows.size(); ++i) {
+        job_words.push_back(pack_at(rng, job_windows[i], i % 32));
+    }
+
     std::vector<MyersMatcher::BoundedHit> results(job_windows.size());
-    const std::uint8_t* texts[kLanes];
+    PackedWindow lanes[kLanes];
     MyersMatcher::BoundedHit hits[kLanes];
     std::size_t batched = 0, tail = 0;
     for (const LengthBucket& bucket : buckets) {
         std::uint32_t i = 0;
         while (bucket.count - i >= kLanes) {
             for (std::size_t k = 0; k < kLanes; ++k) {
-                texts[k] =
-                    job_windows[order[bucket.first + i + k]].data();
+                const std::uint32_t job = order[bucket.first + i + k];
+                lanes[k] = {job_words[job].data(), job % 32};
             }
-            engine.best_in_bounded_multi(texts, kLanes, bucket.length,
+            engine.best_in_bounded_multi(lanes, kLanes, bucket.length,
                                          delta, hits);
             for (std::size_t k = 0; k < kLanes; ++k) {
                 results[order[bucket.first + i + k]] = hits[k];
@@ -304,9 +407,10 @@ TEST(MyersSimdEngineApi, BackendAndAccounting) {
     EXPECT_EQ(engine.pattern_length(), 100u);
     EXPECT_EQ(engine.word_count(), 2u);
     const auto win = random_codes(rng, 110);
-    const std::uint8_t* texts[1] = {win.data()};
+    const PackedDna packed{std::span<const std::uint8_t>(win)};
+    const PackedWindow lane{packed.words().data(), 0};
     MyersMatcher::BoundedHit out[1];
-    engine.best_in_bounded_multi(texts, 1, win.size(), 5, out);
+    engine.best_in_bounded_multi(&lane, 1, win.size(), 5, out);
     EXPECT_GT(engine.last_word_ops(), 0u);
     EXPECT_THROW(MyersSimdEngine{std::span<const std::uint8_t>{}},
                  std::invalid_argument);
@@ -501,15 +605,14 @@ TEST(SimdKernelEquivalence, SamByteIdenticalAcrossSimdAndFunnelMatrix) {
         return sam.str();
     };
 
-    // Funnel matrix (prefilter × banded × coalesce), each with simd on
-    // vs off. With banded_verification off the simd toggle is inert by
+    // Funnel matrix (banded × coalesce), each with simd on vs off.
+    // With banded_verification off the simd toggle is inert by
     // contract — included to prove exactly that.
     std::optional<std::string> reference_sam;
-    for (int mask = 0; mask < 8; ++mask) {
+    for (int mask = 0; mask < 4; ++mask) {
         core::KernelConfig on;
-        on.prefilter = (mask & 1) != 0;
-        on.banded_verification = (mask & 2) != 0;
-        on.coalesce_windows = (mask & 4) != 0;
+        on.banded_verification = (mask & 1) != 0;
+        on.coalesce_windows = (mask & 2) != 0;
         on.simd_verification = true;
         core::KernelConfig off = on;
         off.simd_verification = false;

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <map>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -146,6 +147,41 @@ TEST(PackedDna, ExtractSubranges) {
     EXPECT_EQ(codes[2], 2u); // G
     EXPECT_EQ(codes[3], 2u); // G
     EXPECT_EQ(dna.to_string(8, 4), "ACGT");
+}
+
+TEST(PackedDna, ExtractMatchesCodeAtAtEveryOffset) {
+    // extract() unpacks a word at a time; it must equal the per-base
+    // code_at() for every start modulo 32 and every length 0-96, on an
+    // owned sequence and on a view, up to the last (partial) word.
+    Xoshiro256 rng(96);
+    std::vector<std::uint8_t> codes(203); // 6 words + 11 bases
+    for (auto& c : codes) c = static_cast<std::uint8_t>(rng.bounded(4));
+    const PackedDna owned{std::span<const std::uint8_t>(codes)};
+    const PackedDna view = PackedDna::view_of(owned.words(), owned.size());
+    ASSERT_TRUE(view.is_view());
+    std::vector<std::uint8_t> out;
+    for (const PackedDna* dna : {&owned, &view}) {
+        for (std::size_t len = 0; len <= 96; ++len) {
+            // Every start modulo 32, then the starts that end exactly
+            // at the sequence's last base.
+            std::vector<std::size_t> starts;
+            for (std::size_t pos = 0; pos < 32; ++pos) starts.push_back(pos);
+            for (std::size_t back = 0; back < 32; ++back) {
+                starts.push_back(dna->size() - len - back);
+            }
+            for (const std::size_t pos : starts) {
+                out.assign(len + 1, 0xAB); // sentinel past the end
+                dna->extract(pos, len, out.data());
+                for (std::size_t i = 0; i < len; ++i) {
+                    ASSERT_EQ(out[i], dna->code_at(pos + i))
+                        << "pos=" << pos << " len=" << len << " i=" << i
+                        << (dna->is_view() ? " (view)" : " (owned)");
+                }
+                ASSERT_EQ(out[len], 0xAB)
+                    << "wrote past len: pos=" << pos << " len=" << len;
+            }
+        }
+    }
 }
 
 TEST(PackedDna, PushBackGrowsWords) {

@@ -122,6 +122,35 @@ BENCHMARK(BM_Seeder_ReputeDp)->Arg(10)->Arg(12)->Arg(14)->Arg(16);
 BENCHMARK(BM_Seeder_OssFull_n150d7)->Arg(14);
 BENCHMARK(BM_Seeder_ReputeDp_n150d7)->Arg(12)->Arg(14)->Arg(16);
 
+void BM_SeedSelect(benchmark::State& state) {
+    // REPUTE's filtration as the kernel runs it: MemoryOptimizedSeeder
+    // into a recycled plan and scratch (150 bp, delta 7, s_min 12) on
+    // the repeat-rich genome, with the scan's work split per read.
+    const auto& w = workload();
+    const auto& batch = reads150();
+    const filter::MemoryOptimizedSeeder seeder(12);
+    filter::SeedPlan plan;
+    filter::SeedScratch scratch;
+    std::size_t i = 0;
+    filter::ScanWork total;
+    for (auto _ : state) {
+        const auto& read = batch.reads[i++ % batch.size()];
+        seeder.select(*w.fm, read.codes, 7, plan, scratch);
+        benchmark::DoNotOptimize(plan.total_candidates);
+        total.fm_extends += plan.fm_extends;
+        total.anchor_locates += plan.anchor_locates;
+        total.text_settled += plan.text_settled;
+    }
+    const auto per_read = [&](std::uint64_t v) {
+        return static_cast<double>(v) /
+               static_cast<double>(state.iterations());
+    };
+    state.counters["extends/read"] = per_read(total.fm_extends);
+    state.counters["locates/read"] = per_read(total.anchor_locates);
+    state.counters["text_settled/read"] = per_read(total.text_settled);
+}
+BENCHMARK(BM_SeedSelect);
+
 // ----------------------------------------------- verification ablation
 
 void BM_Verify_Myers(benchmark::State& state) {
@@ -567,7 +596,7 @@ void BM_FmSuffixFrequencies(benchmark::State& state) {
     std::vector<std::uint32_t> freqs(48);
     for (auto _ : state) {
         const auto& read = w.reads.batch.reads[i++ % w.reads.batch.size()];
-        const filter::FrequencyScanner scanner(*w.fm, read.codes);
+        filter::FrequencyScanner scanner(*w.fm, read.codes);
         scanner.suffix_frequencies(12, 60, freqs);
         benchmark::DoNotOptimize(freqs.data());
     }

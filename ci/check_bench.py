@@ -35,6 +35,10 @@ The sharding fixture (`shard_bench`) has its own gate: sharded mapping
 must stay identical to monolithic (the fixture's exit code) and the
 parallel shard build must beat the serial one by
 --shard-min-build-speedup (0 disables; the CI shard tier passes 1.5).
+The speedup gated is the fixture's median over alternating
+serial/parallel build pairs (each build takes well under a second, so
+one ratio is at the mercy of one stalled job); the gate prints every
+pair's ratio from the fixture's JSON.
 Build speedup is real wall clock, so the floor only binds on machines
 with >= 2 CPUs — on a single-core runner it degrades to the identity
 check and says so. --only-shard runs just this gate (the CI shard tier
@@ -176,6 +180,16 @@ def run_shard_gate(binary, min_speedup, out_path):
         print("shard gate: FAIL — no shard_build_speedup line in output")
         return False
     speedup = float(match.group(1))
+    try:
+        with open(out_path) as f:
+            pairs = json.load(f).get("build_speedup_pairs", [])
+        ratios = ", ".join(f"{p['ratio']:.3f}" for p in pairs)
+        print(f"shard gate: median of {len(pairs)} serial/parallel "
+              f"build pairs (ratios {ratios})")
+    except (OSError, ValueError, KeyError) as e:
+        print(f"shard gate: FAIL — cannot read build pairs from "
+              f"{out_path}: {e}")
+        return False
     cores = os.cpu_count() or 1
     if cores < 2:
         print(

@@ -73,8 +73,11 @@ sharding (write a .rixm manifest + per-shard .rix files instead):
   --jobs N              parallel shard index builds (default 1)
 
 `repute map --index` and `repute serve --index` accept the .rixm
-manifest path; mapping output is byte-identical to the monolithic
-index while per-device residency stays one shard image.
+manifest path; per-device residency stays one shard image. Sharded
+output matches the monolithic index on the shard tests' fixtures, but
+each shard plans seeds on its own k-mer frequencies, so on
+repeat-rich genomes a few reads report a locus at a shifted position
+(DESIGN.md 5g; ROADMAP "One mapping per alignment locus").
 )";
 
 constexpr const char* kMapUsage = R"(repute map — one-shot streaming read mapping
@@ -100,7 +103,10 @@ options:
 pipeline:
   --batch-size N        reads per batch (default 4096)
   --queue-depth N       batches buffered between stages (default 4)
-  --threads N           concurrent map workers (default 1)
+  --threads N           concurrent map workers (default 1); they submit
+                        to per-device pools of min(compute units,
+                        hardware threads) threads, so --threads 1
+                        still uses several cores
   --on-malformed MODE   drop (count and continue) | fail (default drop)
   --length-grid N       length-class quantization for mixed input:
                         reads bucket by length rounded up to a multiple

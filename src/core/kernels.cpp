@@ -12,6 +12,8 @@ namespace repute::core {
 StageTotals& StageTotals::operator+=(const StageTotals& other) noexcept {
     obs::StageCounters::operator+=(other);
     zero_certified += other.zero_certified;
+    anchor_locates += other.anchor_locates;
+    text_settled += other.text_settled;
     raw_hits += other.raw_hits;
     accepted += other.accepted;
     myers_early_exits += other.myers_early_exits;
@@ -23,6 +25,17 @@ StageTotals& StageTotals::operator+=(const StageTotals& other) noexcept {
 }
 
 namespace {
+
+/// Charges a seed scan's work to the filtration stage.
+void charge_scan(const filter::ScanWork& work, const OpWeights& w,
+                 std::uint64_t locate_cost, StageTotals& stages) {
+    stages.filtration_ops += work.fm_extends * w.fm_extend +
+                             work.qgram_jumps * w.qgram_lookup +
+                             work.anchor_locates * locate_cost +
+                             work.text_words * w.text_word;
+    stages.anchor_locates += work.anchor_locates;
+    stages.text_settled += work.text_settled;
+}
 
 /// Filtration + verification of one strand's code sequence. Appends to
 /// `out` until the first-n cap; accumulates per-stage ops into `stages`.
@@ -36,6 +49,8 @@ void map_strand(const index::FmIndex& fm,
                 std::vector<ReadMapping>& out, KernelScratch& scratch,
                 StageTotals& stages) {
     const auto& w = config.weights;
+    const std::uint64_t locate_cost =
+        w.locate_base + w.locate_step * (fm.sa_sample() - 1) / 2;
 
     // --- Layer 0 (REPUTE flow): the pigeonhole zero certificate. A
     // strand that splits into delta+1 absent seeds has no locus within
@@ -47,12 +62,10 @@ void map_strand(const index::FmIndex& fm,
         // Oversized or too-short reads still fail with the seeder's own
         // message rather than being certified.
         filter::validate_read_parameters(codes.size(), delta, config.s_min);
-        std::uint64_t extends = 0;
-        std::uint64_t jumps = 0;
+        filter::ScanWork work;
         const bool certified = filter::zero_certificate(
-            fm, codes, delta, config.s_min, extends, jumps);
-        stages.filtration_ops +=
-            extends * w.fm_extend + jumps * w.qgram_lookup;
+            fm, codes, delta, config.s_min, work);
+        charge_scan(work, w, locate_cost, stages);
         if (certified) {
             ++stages.zero_certified;
             return;
@@ -62,9 +75,8 @@ void map_strand(const index::FmIndex& fm,
     // --- Filtration: DP (or heuristic) seed selection.
     filter::SeedPlan& plan = scratch.plan;
     seeder.select(fm, codes, delta, plan, scratch.seeder);
-    stages.filtration_ops += plan.fm_extends * w.fm_extend +
-                             plan.dp_cells * w.dp_cell +
-                             plan.qgram_jumps * w.qgram_lookup;
+    charge_scan(plan, w, locate_cost, stages);
+    stages.filtration_ops += plan.dp_cells * w.dp_cell;
 
     // --- Candidate gathering: locate hits; REPUTE's modified flow also
     // collapses duplicate diagonals before verification.
@@ -76,8 +88,6 @@ void map_strand(const index::FmIndex& fm,
     filter::gather_candidates(fm, plan,
                               static_cast<std::uint32_t>(codes.size()),
                               delta, cand_config, candidates, scratch.hits);
-    const std::uint64_t locate_cost =
-        w.locate_base + w.locate_step * (fm.sa_sample() - 1) / 2;
     stages.locate_ops += candidates.located_hits * locate_cost;
     stages.verify_ops += candidates.raw_hits * w.per_candidate;
     stages.raw_hits += candidates.raw_hits;
@@ -316,6 +326,8 @@ std::uint64_t map_read_workitem(const index::FmIndex& fm,
             .observe(static_cast<double>(local.candidates));
         m->counter("kernel.zero_certified_strands")
             .add(local.zero_certified);
+        m->counter("kernel.anchor_locates").add(local.anchor_locates);
+        m->counter("kernel.text_settled_suffixes").add(local.text_settled);
         m->counter("kernel.raw_seed_hits").add(local.raw_hits);
         m->counter("kernel.candidate_windows").add(local.candidates);
         m->counter("kernel.mappings_accepted").add(local.accepted);

@@ -38,9 +38,13 @@ struct OpWeights {
     std::uint64_t dp_cell = 2;        ///< one DP min/add
     std::uint64_t qgram_lookup = 1;   ///< one jump-table load
     /// SA locate = base + step * (sa_sample - 1) / 2 (the average LF
-    /// walk length grows with the sampling interval).
+    /// walk length grows with the sampling interval). Charged for
+    /// candidate hits and for the seed scans' anchor locates alike.
     std::uint64_t locate_base = 19;
     std::uint64_t locate_step = 14;
+    /// One packed-text word compared by an anchored seed scan (load,
+    /// XOR, count-leading-zeros; DESIGN §4b).
+    std::uint64_t text_word = 2;
     std::uint64_t myers_word = 4;     ///< one 64-bit Myers column word
     /// One lane-batched Myers column word advanced across all
     /// MyersSimdEngine::kLanes candidates at once. Costlier than a
@@ -79,11 +83,15 @@ struct KernelConfig {
     /// Ownership window for sharded mapping: only candidate diagonals in
     /// [report_lo, report_hi) are verified and reported. Shard kernels
     /// index overlapping reference slices so junction-straddling windows
-    /// stay intact; the owning shard alone reports each position, and —
-    /// because the filter runs *before* verification and the first-n cap
-    /// counting — every shard's output list is exactly the monolithic
-    /// list restricted to its owned range. Defaults cover everything
-    /// (the monolithic path is untouched).
+    /// stay intact, and the owning shard alone reports each position.
+    /// The filter runs *before* verification and the first-n cap
+    /// counting, so a shard whose seeds find the monolithic candidate
+    /// diagonals outputs the monolithic list restricted to its owned
+    /// range. A shard plans seeds on its own k-mer frequencies, though,
+    /// and on repeat-rich text it can represent a candidate cluster by
+    /// another diagonal (DESIGN §5g, ROADMAP "One mapping per alignment
+    /// locus"). Defaults cover everything (the monolithic path is
+    /// untouched).
     std::uint32_t report_lo = 0;
     std::uint32_t report_hi = 0xFFFFFFFFu;
     OpWeights weights;
@@ -97,6 +105,10 @@ struct StageTotals : obs::StageCounters {
     /// Strands settled by the pigeonhole zero certificate (layer 0):
     /// no seed selection, candidates or verification ran for them.
     std::uint64_t zero_certified = 0;
+    /// Text-anchored seed scans: one-row ranges located, and suffix
+    /// frequencies settled against the text instead of the FM index.
+    std::uint64_t anchor_locates = 0;
+    std::uint64_t text_settled = 0;
     std::uint64_t raw_hits = 0; ///< seed hits before diagonal collapse
     std::uint64_t accepted = 0; ///< mappings written (pre-merge)
     // Verification-funnel effectiveness.

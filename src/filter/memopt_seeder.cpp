@@ -52,11 +52,11 @@ void MemoryOptimizedSeeder::select(const index::FmIndex& fm,
             p > s_min_ + e ? (p - e + s_min_ - 1) / s_min_ : 1;
         if (x_lo > x_hi) continue;
 
-        // out[k] = freq(d_lo + k, p).
+        // out[k] = freq(d_lo + k, p); only seeds of s_min or more bases
+        // are read.
         const std::uint32_t d_lo = (x_lo - 1) * s_min_;
         auto out = std::span<std::uint32_t>(freqs.data(), p - d_lo);
-        scanner.suffix_frequencies(d_lo, p, out, plan.fm_extends,
-                                   plan.qgram_jumps);
+        scanner.suffix_frequencies(d_lo, p, out, plan, s_min_);
 
         for (std::uint32_t x = x_lo; x <= x_hi; ++x) {
             const std::uint32_t w = p - x * s_min_;

@@ -38,8 +38,7 @@ void OptimalSeeder::select(const index::FmIndex& fm,
         const std::uint32_t depth = std::min(p, l_max);
         const std::uint32_t min_start = p - depth;
         auto out = std::span<std::uint32_t>(scan_buffer.data(), depth);
-        scanner.suffix_frequencies(min_start, p, out, plan.fm_extends,
-                                   plan.qgram_jumps);
+        scanner.suffix_frequencies(min_start, p, out, plan);
         // out[k] = freq(min_start + k, p) -> len = p - (min_start + k).
         for (std::uint32_t k = 0; k < depth; ++k) {
             const std::uint32_t len = p - (min_start + k);

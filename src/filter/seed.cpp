@@ -21,7 +21,7 @@ void validate_read_parameters(std::size_t read_length, std::uint32_t delta,
             " cannot host " + std::to_string(delta + 1) +
             " k-mers of minimum length " + std::to_string(s_min));
     }
-    if (read_length > 512) {
+    if (read_length > FrequencyScanner::kMaxReadLength) {
         throw std::invalid_argument("read length exceeds kernel limit 512");
     }
 }
@@ -29,14 +29,14 @@ void validate_read_parameters(std::size_t read_length, std::uint32_t delta,
 bool zero_certificate(const index::FmIndex& fm,
                       std::span<const std::uint8_t> read,
                       std::uint32_t delta, std::uint32_t s_min,
-                      std::uint64_t& fm_extends,
-                      std::uint64_t& qgram_jumps) {
+                      ScanWork& work) {
     const index::QGramTable* qt = fm.qgrams();
     // The jump never reaches past s_min: an empty range at jump depth
     // j <= s_min pins the seed to exactly s_min bases, while a deeper
     // empty jump would leave the shortest zero-count length unknown.
     const std::uint32_t jump =
         qt != nullptr ? std::min(qt->q(), s_min) : 0;
+    const FrequencyScanner scanner(fm, read);
     auto end = static_cast<std::uint32_t>(read.size());
     for (std::uint32_t x = delta + 1; x >= 1; --x) {
         // Seed x must start at or after `lo` to leave room for the
@@ -48,11 +48,21 @@ bool zero_certificate(const index::FmIndex& fm,
         if (jump > 0) {
             d = end - jump;
             range = qt->lookup(read.subspan(d, jump));
-            ++qgram_jumps;
+            ++work.qgram_jumps;
         }
         while (!range.empty() && d > lo) {
+            if (range.count() == 1) {
+                // read[d, end) occurs once: the text says how far left
+                // it extends; one base further it is absent.
+                const std::uint32_t reach =
+                    scanner.unique_reach(d, range.lo, lo, work);
+                if (reach == lo) return false;
+                d = reach - 1;
+                range = {};
+                break;
+            }
             range = fm.extend(range, read[--d]);
-            ++fm_extends;
+            ++work.fm_extends;
         }
         if (!range.empty()) return false;
         // read[d, end) is absent, and so is every suffix of at least

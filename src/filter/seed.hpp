@@ -14,6 +14,7 @@
 #include <string_view>
 #include <vector>
 
+#include "filter/frequency_scanner.hpp"
 #include "index/fm_index.hpp"
 
 namespace repute::filter {
@@ -27,15 +28,14 @@ struct Seed {
     std::uint32_t candidate_count() const noexcept { return range.count(); }
 };
 
-/// Result of filtration for one read (one strand).
-struct SeedPlan {
+/// Result of filtration for one read (one strand). The inherited
+/// ScanWork counters, dp_cells and scratch_bytes are the work
+/// accounting consumed by the device performance model.
+struct SeedPlan : ScanWork {
     std::vector<Seed> seeds;          ///< exactly delta+1 entries
     std::uint64_t total_candidates = 0;
 
-    // Work accounting consumed by the device performance model.
-    std::uint64_t fm_extends = 0;  ///< backward-search extension steps
     std::uint64_t dp_cells = 0;    ///< DP cells touched (0 for heuristics)
-    std::uint64_t qgram_jumps = 0; ///< jump-table lookups replacing extends
 
     /// Peak bytes of per-read kernel scratch the strategy needs — the
     /// quantity the paper's memory optimization reduces (private-memory
@@ -47,9 +47,8 @@ struct SeedPlan {
     void reset() noexcept {
         seeds.clear();
         total_candidates = 0;
-        fm_extends = 0;
+        static_cast<ScanWork&>(*this) = {};
         dp_cells = 0;
-        qgram_jumps = 0;
         scratch_bytes = 0;
     }
 };
@@ -120,13 +119,13 @@ void validate_read_parameters(std::size_t read_length, std::uint32_t delta,
 /// zero partition exactly when one exists: the certificate holds iff
 /// the optimum of an exact seeder (MemoryOptimizedSeeder,
 /// OptimalSeeder) with this s_min is 0. Reads that cannot host
-/// delta+1 seeds get no certificate. Adds the scans' work to the two
-/// counters, as FrequencyScanner does.
+/// delta+1 seeds get no certificate. A scan whose range holds one row
+/// finishes against the text (FrequencyScanner::unique_reach). Adds
+/// the scans' work to `work`.
 bool zero_certificate(const index::FmIndex& fm,
                       std::span<const std::uint8_t> read,
                       std::uint32_t delta, std::uint32_t s_min,
-                      std::uint64_t& fm_extends,
-                      std::uint64_t& qgram_jumps);
+                      ScanWork& work);
 
 /// Computes the FM ranges for an already-chosen partition (boundaries =
 /// seed start offsets, ascending, first == 0), replacing `plan.seeds`

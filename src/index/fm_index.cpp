@@ -52,7 +52,9 @@ FmIndex::FmIndex(const genomics::Reference& reference,
                  std::uint32_t sa_sample, std::uint32_t checkpoint_every,
                  std::uint32_t qgram_length)
     : n_(reference.size()), sa_sample_(sa_sample == 0 ? 1 : sa_sample),
-      checkpoint_every_(checkpoint_every), qgram_length_(qgram_length) {
+      checkpoint_every_(checkpoint_every), qgram_length_(qgram_length),
+      text_(util::PackedDna::view_of(reference.sequence().words(),
+                                     reference.size())) {
     validate_geometry();
     const auto& text = reference.sequence();
     const auto sa = build_suffix_array(text); // n+1 rows, SA[0] == n
@@ -131,7 +133,8 @@ FmIndex FmIndex::from_view(const ViewGeometry& geometry,
                            std::span<const std::uint64_t> rank_words,
                            std::span<const std::uint64_t> sa_mark_words,
                            std::span<const std::uint32_t> sa_samples,
-                           std::span<const Range> qgram_ranges) {
+                           std::span<const Range> qgram_ranges,
+                           std::span<const std::uint64_t> text_words) {
     FmIndex fm;
     fm.n_ = geometry.n;
     fm.c_ = geometry.c;
@@ -171,6 +174,10 @@ FmIndex FmIndex::from_view(const ViewGeometry& geometry,
         throw std::runtime_error(
             "FmIndex: view has q-gram ranges but qgram_length is 0");
     }
+    if (text_words.size() != util::PackedDna::packed_word_count(fm.n_)) {
+        throw std::runtime_error("FmIndex: view text word count mismatch");
+    }
+    fm.text_ = util::PackedDna::view_of(text_words, fm.n_);
     fm.view_ = true;
     return fm;
 }

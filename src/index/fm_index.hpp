@@ -17,7 +17,13 @@
 //     its full-SA footprint — we implement that fix),
 //   * an optional q-gram jump table (see qgram_table.hpp) precomputes
 //     the FM range of every pattern of length <= q so backward scans
-//     start q symbols deep.
+//     start q symbols deep,
+//   * the index keeps a borrowed view of the 2-bit text it was built
+//     from (text()), so a scan whose range holds one row can locate it
+//     once and continue against the text words instead of the rank
+//     blocks (filter/frequency_scanner.hpp). The text belongs to the
+//     Reference or .rix mapping the index was built over and is not
+//     counted in memory_bytes().
 
 #include <array>
 #include <cstdint>
@@ -56,11 +62,16 @@ public:
     /// (a power of two, >= 32) spaces the occ checkpoints: wider spacing
     /// shrinks the rank directory but lengthens each occ scan — the
     /// second index-footprint knob the paper's §IV discussion points at.
-    /// `qgram_length` sizes the jump table (0 disables it).
+    /// `qgram_length` sizes the jump table (0 disables it). The index
+    /// borrows `reference`'s packed words (text()), so the reference
+    /// must outlive it; moving the Reference keeps the words in place.
     explicit FmIndex(const genomics::Reference& reference,
                      std::uint32_t sa_sample = 4,
                      std::uint32_t checkpoint_every = 128,
                      std::uint32_t qgram_length = kDefaultQgramLength);
+    /// A temporary reference would leave text() dangling.
+    FmIndex(genomics::Reference&&, std::uint32_t = 4, std::uint32_t = 128,
+            std::uint32_t = kDefaultQgramLength) = delete;
 
     /// Everything from_view() needs besides the four arrays — the
     /// header fields of the .rix container.
@@ -84,14 +95,17 @@ public:
     ///     directories are rebuilt, they are ~3% of the bits),
     ///   * `sa_samples` — SA values at marked rows, in row order,
     ///   * `qgram_ranges` — the jump-table range array (empty when
-    ///     geometry.qgram_length is 0).
+    ///     geometry.qgram_length is 0),
+    ///   * `text_words` — the indexed text, 2-bit packed
+    ///     (PackedDna::words() layout, packed_word_count(n) words).
     /// Throws std::runtime_error on any size/alignment mismatch; the
     /// caller (the .rix loader) has already checksummed the bytes.
     static FmIndex from_view(const ViewGeometry& geometry,
                              std::span<const std::uint64_t> rank_words,
                              std::span<const std::uint64_t> sa_mark_words,
                              std::span<const std::uint32_t> sa_samples,
-                             std::span<const Range> qgram_ranges);
+                             std::span<const Range> qgram_ranges,
+                             std::span<const std::uint64_t> text_words);
 
     /// u64 words the interleaved rank-block image occupies for a text
     /// of length `n` at the given checkpoint spacing — the .rix
@@ -105,6 +119,10 @@ public:
 
     /// Text length (without sentinel).
     std::size_t size() const noexcept { return n_; }
+
+    /// The indexed text (a view of the borrowed packed words):
+    /// position locate() reports index into it.
+    const util::PackedDna& text() const noexcept { return text_; }
 
     /// Range covering every suffix (n+1 rows including the sentinel).
     Range whole_range() const noexcept {
@@ -232,6 +250,7 @@ private:
     std::vector<std::uint32_t> owned_samples_;
     std::span<const std::uint32_t> samples_; ///< SA values at marked rows
     std::unique_ptr<QGramTable> qgrams_;
+    util::PackedDna text_; ///< view of the indexed text (borrowed)
 
     std::uint32_t rows() const noexcept {
         return static_cast<std::uint32_t>(n_ + 1);

@@ -394,7 +394,8 @@ MappedIndex MappedIndex::from_verified(util::MmapFile map,
         qsec.offset, qsec.bytes / sizeof(FmIndex::Range));
     mi.fm_ = std::make_unique<FmIndex>(FmIndex::from_view(
         g, span_u64(rix::kRankBlocks), span_u64(rix::kSaMarkBits),
-        span_u32(rix::kSaSamples), qgram_ranges));
+        span_u32(rix::kSaSamples), qgram_ranges,
+        span_u64(rix::kRefWords)));
 
     const Section& nsec = h.sections[rix::kSeqNames];
     BlobReader names_in{

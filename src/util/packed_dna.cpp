@@ -1,6 +1,8 @@
 #include "util/packed_dna.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -41,7 +43,50 @@ inline void unpack_word(std::uint64_t v, std::uint8_t* out) noexcept {
     }
 }
 
+/// The 32 bases [end - 32, end) of packed `words`, base end - 1 in the
+/// top two bits. Bases before position 0 read as 0.
+inline std::uint64_t word_ending_at(std::span<const std::uint64_t> words,
+                                    std::size_t end) noexcept {
+    if (end < 32) return end == 0 ? 0 : words[0] << (2 * (32 - end));
+    const std::size_t pos = end - 32;
+    const std::size_t word = pos >> 5;
+    const std::size_t shift = (pos & 31) * 2;
+    // With a nonzero shift, base end - 1 lies in word + 1.
+    return shift == 0 ? words[word]
+                      : (words[word] >> shift) |
+                            (words[word + 1] << (64 - shift));
+}
+
 } // namespace
+
+void pack_codes(std::span<const std::uint8_t> codes,
+                std::uint64_t* out) noexcept {
+    for (std::size_t lo = 0; lo < codes.size(); lo += 32) {
+        const std::size_t hi = std::min(lo + 32, codes.size());
+        std::uint64_t v = 0;
+        for (std::size_t i = hi; i-- > lo;) v = (v << 2) | (codes[i] & 3u);
+        out[lo >> 5] = v;
+    }
+}
+
+std::size_t common_suffix(std::span<const std::uint64_t> a,
+                          std::size_t a_end,
+                          std::span<const std::uint64_t> b,
+                          std::size_t b_end, std::size_t limit,
+                          std::uint64_t& words) noexcept {
+    std::size_t matched = 0;
+    while (matched < limit) {
+        ++words;
+        const std::uint64_t diff = word_ending_at(a, a_end - matched) ^
+                                   word_ending_at(b, b_end - matched);
+        if (diff != 0) {
+            return std::min(limit, matched + static_cast<std::size_t>(
+                                                 std::countl_zero(diff) / 2));
+        }
+        matched += 32;
+    }
+    return limit;
+}
 
 std::uint8_t base_to_code(char c) noexcept {
     return kCodeTable[static_cast<unsigned char>(c)];

@@ -28,6 +28,23 @@ constexpr std::uint8_t complement_code(std::uint8_t code) noexcept {
     return code ^ 3u;
 }
 
+/// Packs 2-bit `codes` into `out` in the PackedDna::words() layout
+/// (base i at bits [2i, 2i+2) of out[i/32], zero-padded tail); `out`
+/// must hold PackedDna::packed_word_count(codes.size()) words.
+void pack_codes(std::span<const std::uint8_t> codes,
+                std::uint64_t* out) noexcept;
+
+/// Length of the longest common suffix of a[0, a_end) and b[0, b_end),
+/// two sequences in the PackedDna::words() layout, capped at `limit`
+/// (which must not exceed a_end or b_end). Compares 32 bases per XOR
+/// and finds the first mismatch with count-leading-zeros; adds the
+/// word pairs compared to `words`.
+std::size_t common_suffix(std::span<const std::uint64_t> a,
+                          std::size_t a_end,
+                          std::span<const std::uint64_t> b,
+                          std::size_t b_end, std::size_t limit,
+                          std::uint64_t& words) noexcept;
+
 class PackedDna {
 public:
     PackedDna() = default;

@@ -34,6 +34,7 @@ using repute::filter::gather_candidates;
 using repute::filter::HeuristicSeeder;
 using repute::filter::MemoryOptimizedSeeder;
 using repute::filter::OptimalSeeder;
+using repute::filter::ScanWork;
 using repute::filter::Seeder;
 using repute::filter::SeedPlan;
 using repute::filter::SeedScratch;
@@ -480,19 +481,19 @@ TEST_F(FilterTest, ZeroCertificateHoldsIffDpOptimumIsZero) {
                     const auto& read = reads[r];
                     if ((delta + 1) * s_min > read.size()) continue;
                     memopt.select(*fm, read, delta, plan, scratch);
-                    std::uint64_t extends = 0, jumps = 0;
+                    ScanWork work;
                     const bool holds = zero_certificate(
-                        *fm, read, delta, s_min, extends, jumps);
+                        *fm, read, delta, s_min, work);
                     ASSERT_EQ(holds, plan.total_candidates == 0)
                         << name << " s_min=" << s_min << " delta=" << delta
                         << " read " << r << " optimum "
                         << plan.total_candidates;
                     if (fm->qgrams() == nullptr) {
-                        EXPECT_EQ(jumps, 0u);
+                        EXPECT_EQ(work.qgram_jumps, 0u);
                     }
                     if (holds) {
                         ++certified;
-                        cert_work += extends + jumps;
+                        cert_work += work.fm_extends + work.qgram_jumps;
                         dp_work += plan.fm_extends + plan.qgram_jumps;
                     } else {
                         ++refuted;
@@ -538,9 +539,8 @@ TEST(ZeroCertificate, JumpTableDeeperThanSminKeepsTheTightSplit) {
                                                   : rng.bounded(2));
             }
             memopt.select(fm, read, delta, plan, scratch);
-            std::uint64_t extends = 0, jumps = 0;
-            const bool holds =
-                zero_certificate(fm, read, delta, s_min, extends, jumps);
+            ScanWork work;
+            const bool holds = zero_certificate(fm, read, delta, s_min, work);
             ASSERT_EQ(holds, plan.total_candidates == 0)
                 << "s_min=" << s_min << " delta=" << delta << " trial "
                 << trial;
@@ -603,9 +603,8 @@ TEST(ZeroCertificate, SoundAgainstBruteForceScan) {
             base = static_cast<std::uint8_t>((base + 1 + rng.bounded(3)) & 3);
         }
         for (const auto& strand : {read, reverse_complement(read)}) {
-            std::uint64_t extends = 0, jumps = 0;
-            if (!zero_certificate(fm, strand, delta, s_min, extends,
-                                  jumps)) {
+            ScanWork work;
+            if (!zero_certificate(fm, strand, delta, s_min, work)) {
                 continue;
             }
             ++certified;
@@ -617,6 +616,238 @@ TEST(ZeroCertificate, SoundAgainstBruteForceScan) {
     }
     EXPECT_GT(certified, 40u);
     EXPECT_GT(near_misses, 5u);
+}
+
+// ------------------------------------------------- text-anchored scans
+
+/// The bounds of one suffix_frequencies call.
+struct ScanCell {
+    std::uint32_t min_start;
+    std::uint32_t end;
+    std::uint32_t min_length;
+};
+
+/// Runs one scanner over `cells` in order (its text anchor carries
+/// from call to call) and checks every reported count against a
+/// direct search.
+void expect_scans_match_search(const FmIndex& fm,
+                               std::span<const std::uint8_t> read,
+                               const std::vector<ScanCell>& cells,
+                               ScanWork& work, const std::string& what) {
+    FrequencyScanner scanner(fm, read);
+    std::vector<std::uint32_t> out;
+    for (const auto& [min_start, end, min_length] : cells) {
+        out.assign(end - min_start, 0xDEADu);
+        scanner.suffix_frequencies(min_start, end, out, work, min_length);
+        for (std::uint32_t d = min_start; d + min_length <= end; ++d) {
+            ASSERT_EQ(out[d - min_start],
+                      fm.search(read.subspan(d, end - d)).count())
+                << what << " d=" << d << " end=" << end
+                << " min_start=" << min_start
+                << " min_length=" << min_length;
+        }
+    }
+}
+
+/// Three call orders: every end ascending at full depth (the OSS
+/// scan), ascending under a sliding lower bound with seeds of at least
+/// 12 bases (the memopt DP's), and shuffled ends with random bounds
+/// (the anchor must re-check itself or drop out).
+std::vector<std::vector<ScanCell>> scan_orders(std::uint32_t n,
+                                               Xoshiro256& rng) {
+    std::vector<ScanCell> full, sliding, shuffled;
+    for (std::uint32_t end = 1; end <= n; ++end) {
+        full.push_back({0, end, 1});
+        if (end >= 12) sliding.push_back({end > 40 ? end - 40 : 0, end, 12});
+        shuffled.push_back({static_cast<std::uint32_t>(rng.bounded(end)), end,
+                            1 + static_cast<std::uint32_t>(rng.bounded(16))});
+    }
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+        std::swap(shuffled[i - 1], shuffled[rng.bounded(i)]);
+    }
+    return {full, sliding, shuffled};
+}
+
+/// Repeat-rich text: interspersed repeats plus tandem arrays of every
+/// period from 1 to 12, so one-row ranges sit next to deep ones.
+Reference tandem_rich_genome() {
+    GenomeSimConfig config;
+    config.length = 48'000;
+    config.seed = 23;
+    config.interspersed_fraction = 0.5;
+    config.repeat_divergence = 0.02;
+    config.tandem_fraction = 0.15;
+    config.tandem_motif_min = 1;
+    config.tandem_motif_max = 12;
+    return simulate_genome(config);
+}
+
+TEST(AnchoredScan, CountsMatchSearchOnEveryCellMonolithicAndSharded) {
+    const Reference genome = tandem_rich_genome();
+    const std::string text = genome.sequence().to_string();
+    std::vector<repute::genomics::FastaRecord> records;
+    for (std::size_t c = 0; c < 8; ++c) {
+        const std::size_t lo = c * text.size() / 8;
+        const std::size_t hi = (c + 1) * text.size() / 8;
+        records.push_back({"c" + std::to_string(c), text.substr(lo, hi - lo)});
+    }
+    const repute::genomics::MultiReference multi(records);
+    const auto& combined = multi.concatenated().sequence();
+    const FmIndex mono(multi.concatenated(), 4);
+    repute::index::ShardPlanConfig plan_config;
+    plan_config.shard_count = 4;
+    const auto shard_plan = repute::index::plan_shards(multi, plan_config);
+    ASSERT_EQ(shard_plan.shards.size(), 4u);
+    std::vector<std::unique_ptr<Reference>> shard_texts;
+    std::vector<std::unique_ptr<FmIndex>> shard_fms;
+    for (const auto& spec : shard_plan.shards) {
+        const auto codes =
+            combined.extract(spec.text_offset(), spec.text_length());
+        shard_texts.push_back(std::make_unique<Reference>(
+            "shard", repute::util::PackedDna{
+                         std::span<const std::uint8_t>(codes)}));
+        shard_fms.push_back(
+            std::make_unique<FmIndex>(*shard_texts.back(), 4));
+    }
+
+    Xoshiro256 rng(3131);
+    const std::uint32_t n = 90;
+    const auto sample = [&](const repute::util::PackedDna& from) {
+        return from.extract(rng.bounded(from.size() - n), n);
+    };
+    // Exact, substituted and random reads of the combined text, both
+    // strands, plus pure tandem reads of periods 1..12.
+    std::vector<std::vector<std::uint8_t>> reads;
+    for (int i = 0; i < 6; ++i) {
+        auto read = sample(combined);
+        for (int s = 0; s < i % 3; ++s) {
+            auto& base = read[rng.bounded(n)];
+            base = static_cast<std::uint8_t>((base + 1 + rng.bounded(3)) & 3);
+        }
+        reads.push_back(reverse_complement(read));
+        reads.push_back(std::move(read));
+    }
+    reads.push_back(random_read(rng, n));
+    for (const std::uint32_t period : {1u, 2u, 5u, 12u}) {
+        const auto motif = random_read(rng, period);
+        std::vector<std::uint8_t> read(n);
+        for (std::uint32_t i = 0; i < n; ++i) read[i] = motif[i % period];
+        reads.push_back(std::move(read));
+    }
+
+    std::vector<std::pair<std::string, const FmIndex*>> indexes = {
+        {"monolithic", &mono}};
+    for (std::size_t s = 0; s < shard_fms.size(); ++s) {
+        indexes.emplace_back("shard " + std::to_string(s),
+                             shard_fms[s].get());
+    }
+    ScanWork work;
+    for (const auto& [name, fm] : indexes) {
+        // Each index also gets reads from its own text, so every shard
+        // sees one-row ranges, not only absent seeds.
+        auto own = reads;
+        own.push_back(sample(fm->text()));
+        own.push_back(reverse_complement(own.back()));
+        for (std::size_t r = 0; r < own.size(); ++r) {
+            const auto orders = scan_orders(n, rng);
+            for (std::size_t o = 0; o < orders.size(); ++o) {
+                expect_scans_match_search(
+                    *fm, own[r], orders[o], work,
+                    name + " read " + std::to_string(r) + " order " +
+                        std::to_string(o));
+                if (HasFatalFailure()) return;
+            }
+        }
+    }
+    // The text settled counts on this fixture, not only the FM index.
+    EXPECT_GT(work.anchor_locates, 0u);
+    EXPECT_GT(work.text_settled, 0u);
+    EXPECT_GT(work.text_words, 0u);
+}
+
+TEST(AnchoredScan, TextBoundariesJoinsAndShardEdges) {
+    const Reference genome = tandem_rich_genome();
+    const std::string text = genome.sequence().to_string();
+    // Two contigs: the join sits at the text's midpoint.
+    const std::size_t join = text.size() / 2;
+    const repute::genomics::MultiReference multi(
+        std::vector<repute::genomics::FastaRecord>{
+            {"left", text.substr(0, join)}, {"right", text.substr(join)}});
+    const auto& combined = multi.concatenated().sequence();
+    const FmIndex mono(multi.concatenated(), 4);
+    repute::index::ShardPlanConfig plan_config;
+    plan_config.shard_count = 2;
+    plan_config.overlap = 300;
+    const auto shard_plan = repute::index::plan_shards(multi, plan_config);
+    ASSERT_EQ(shard_plan.shards.size(), 2u);
+    const auto& right_spec = shard_plan.shards[1];
+    const auto right_codes = combined.extract(right_spec.text_offset(),
+                                              right_spec.text_length());
+    const Reference right_text(
+        "shard1",
+        repute::util::PackedDna{std::span<const std::uint8_t>(right_codes)});
+    const FmIndex right_fm(right_text, 4);
+
+    Xoshiro256 rng(77);
+    const std::uint32_t n = 120;
+    const std::size_t size = combined.size();
+    const auto cat = [](std::vector<std::uint8_t> a,
+                        const std::vector<std::uint8_t>& b) {
+        a.insert(a.end(), b.begin(), b.end());
+        return a;
+    };
+    struct Case {
+        std::string what;
+        const FmIndex* fm;
+        std::vector<std::uint8_t> read;
+    };
+    const std::vector<Case> cases = {
+        // Occurrence at text position 0, and one whose left extension
+        // would run off the text start.
+        {"text prefix", &mono, combined.extract(0, n)},
+        {"runs off the start", &mono,
+         cat(random_read(rng, 7), combined.extract(0, n - 7))},
+        // A read equal to a text suffix, and one that runs off the end
+        // (the anchor carried to the next end must see the text end).
+        {"text suffix", &mono, combined.extract(size - n, n)},
+        {"runs off the end", &mono,
+         cat(combined.extract(size - n + 9, n - 9), random_read(rng, 9))},
+        // Suffixes that span the contig join.
+        {"across the join", &mono, combined.extract(join - n / 2, n)},
+        {"join, mutated", &mono,
+         cat(combined.extract(join - n / 2, n / 2),
+             cat(random_read(rng, 1),
+                 combined.extract(join + 1, n / 2 - 1)))},
+        // The right shard's overhang edge: its local text starts with
+        // the left overhang, and a read that straddles that edge occurs
+        // in the combined text but only partly in the shard.
+        {"shard text start", &right_fm, right_text.sequence().extract(0, n)},
+        {"straddles shard start", &right_fm,
+         combined.extract(right_spec.text_offset() - n / 3, n)},
+        {"shard text end", &right_fm,
+         right_text.sequence().extract(right_text.size() - n, n)},
+    };
+    ScanWork work;
+    for (const Case& c : cases) {
+        ASSERT_EQ(c.read.size(), n) << c.what;
+        for (const auto& order : scan_orders(n, rng)) {
+            expect_scans_match_search(*c.fm, c.read, order, work, c.what);
+            if (HasFatalFailure()) return;
+        }
+        // The certificate's anchored scans agree with the DP's zero.
+        SeedPlan plan;
+        SeedScratch scratch;
+        const MemoryOptimizedSeeder memopt(12);
+        for (const std::uint32_t delta : {0u, 3u, 7u}) {
+            memopt.select(*c.fm, c.read, delta, plan, scratch);
+            ScanWork cert;
+            EXPECT_EQ(zero_certificate(*c.fm, c.read, delta, 12, cert),
+                      plan.total_candidates == 0)
+                << c.what << " delta=" << delta;
+        }
+    }
+    EXPECT_GT(work.anchor_locates, 0u);
+    EXPECT_GT(work.text_settled, 0u);
 }
 
 TEST_F(FilterTest, ExplorationSpaceFormula) {

@@ -86,6 +86,9 @@ TEST_F(FunnelEquivalence, EachLayerOffMatchesFullFunnel) {
     // and the strand ends at layer 0.
     EXPECT_GT(stages.zero_certified, 0u);
     EXPECT_GT(stages.windows_coalesced, 0u);
+    // Seed scans finish against the text once their range holds a row.
+    EXPECT_GT(stages.anchor_locates, 0u);
+    EXPECT_GT(stages.text_settled, 0u);
 
     const char* names[] = {"no-band", "no-coalesce", "no-simd", "all-off",
                            "all-off+simd"};
@@ -150,6 +153,7 @@ TEST_F(FunnelEquivalence, CoralFlowWorkIsUnchanged) {
     }
     EXPECT_EQ(total_ops, 529'789u);
     EXPECT_EQ(stages.zero_certified, 0u);
+    EXPECT_EQ(stages.anchor_locates, 0u);
 }
 
 std::string error_of(const std::function<void()>& run) {
@@ -193,6 +197,8 @@ TEST_F(FunnelEquivalence, FunnelCountersExportThroughObs) {
     map_all(KernelConfig{}, results);
     auto& reg = session.registry();
     EXPECT_GT(reg.counter("kernel.zero_certified_strands").value(), 0u);
+    EXPECT_GT(reg.counter("kernel.anchor_locates").value(), 0u);
+    EXPECT_GT(reg.counter("kernel.text_settled_suffixes").value(), 0u);
     EXPECT_GT(reg.counter("kernel.windows_coalesced").value(), 0u);
     // Early exits: present on this workload because rejected-by-Myers
     // windows abandon once the score bound proves the outcome.

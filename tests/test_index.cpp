@@ -325,13 +325,14 @@ TEST(FmIndex, QGramTableCappedByReferenceFootprint) {
     // outweighs the text it accelerates; q=0 disables it entirely.
     Xoshiro256 rng(31);
     const std::string small = random_dna(rng, 1000);
-    const FmIndex tiny(Reference("s", PackedDna{small}), 4, 128, 8);
+    const Reference ref("s", PackedDna{small});
+    const FmIndex tiny(ref, 4, 128, 8);
     ASSERT_NE(tiny.qgrams(), nullptr);
     EXPECT_LT(tiny.qgrams()->q(), 8u);
     EXPECT_LE(repute::index::QGramTable::table_bytes(tiny.qgrams()->q()),
               std::max<std::size_t>(small.size() + 1, 4096));
 
-    const FmIndex off(Reference("s", PackedDna{small}), 4, 128, 0);
+    const FmIndex off(ref, 4, 128, 0);
     EXPECT_EQ(off.qgrams(), nullptr);
 }
 

@@ -184,6 +184,48 @@ TEST(PackedDna, ExtractMatchesCodeAtAtEveryOffset) {
     }
 }
 
+TEST(PackedDna, CommonSuffixMatchesPerBaseCompare) {
+    // common_suffix() compares 32 bases per XOR; it must equal a
+    // per-base backward compare for every end pair and cap, including
+    // ends in the first word (bases before 0 are never compared) and
+    // runs longer than one word. pack_codes() must lay the words out
+    // as PackedDna does.
+    Xoshiro256 rng(7);
+    std::vector<std::uint8_t> a(150), b(110);
+    for (auto& c : a) c = static_cast<std::uint8_t>(rng.bounded(4));
+    // b repeats a stretch of a with a few planted mismatches.
+    for (std::size_t i = 0; i < b.size(); ++i) b[i] = a[i + 20];
+    for (const std::size_t i : {3u, 40u, 41u, 100u}) b[i] ^= 1;
+    const PackedDna pa{std::span<const std::uint8_t>(a)};
+    std::vector<std::uint64_t> b_words(PackedDna::packed_word_count(b.size()));
+    repute::util::pack_codes(b, b_words.data());
+    const PackedDna pb{std::span<const std::uint8_t>(b)};
+    ASSERT_TRUE(std::equal(b_words.begin(), b_words.end(),
+                           pb.words().begin(), pb.words().end()));
+
+    for (std::size_t a_end = 0; a_end <= a.size(); ++a_end) {
+        for (std::size_t b_end = 0; b_end <= b.size(); ++b_end) {
+            if (a_end != b_end + 20 && rng.bounded(8) != 0) continue;
+            const std::size_t cap = std::min(a_end, b_end);
+            for (const std::size_t limit : {cap, cap / 2}) {
+                std::size_t naive = 0;
+                while (naive < limit &&
+                       a[a_end - 1 - naive] == b[b_end - 1 - naive]) {
+                    ++naive;
+                }
+                std::uint64_t words = 0;
+                ASSERT_EQ(repute::util::common_suffix(pa.words(), a_end,
+                                                      b_words, b_end,
+                                                      limit, words),
+                          naive)
+                    << "a_end=" << a_end << " b_end=" << b_end
+                    << " limit=" << limit;
+                EXPECT_LE(words, naive / 32 + 1);
+            }
+        }
+    }
+}
+
 TEST(PackedDna, PushBackGrowsWords) {
     PackedDna dna;
     for (int i = 0; i < 100; ++i) {

@@ -30,16 +30,9 @@ WorkloadConfig parse_workload_config(const util::Args& args) {
 
 FunnelToggles parse_funnel_toggles(const util::Args& args) {
     FunnelToggles toggles;
-    toggles.banded_verification = !args.get_bool("no-band", false);
     toggles.coalesce_windows = !args.get_bool("no-coalesce", false);
-    toggles.simd_verification = !args.get_bool("no-simd", false);
-    if (!toggles.banded_verification || !toggles.coalesce_windows ||
-        !toggles.simd_verification) {
-        std::printf(
-            "# funnel layers: banded=%s coalesce=%s simd=%s\n",
-            toggles.banded_verification ? "on" : "OFF",
-            toggles.coalesce_windows ? "on" : "OFF",
-            toggles.simd_verification ? "on" : "OFF");
+    if (!toggles.coalesce_windows) {
+        std::printf("# funnel layers: coalesce=OFF\n");
     }
     return toggles;
 }

@@ -68,20 +68,14 @@ struct WorkloadConfig {
 /// 4x) into a WorkloadConfig.
 WorkloadConfig parse_workload_config(const util::Args& args);
 
-/// Verification-funnel escape hatches: --no-band, --no-coalesce and
-/// --no-simd turn off individual layers (see
-/// DESIGN.md "Verification funnel"). Every layer is output-neutral, so
-/// these only exist for before/after timing and for debugging a
-/// suspected funnel bug in the field.
+/// Verification-funnel escape hatch: --no-coalesce turns off the
+/// shared window fetch (see DESIGN.md "Verification funnel"). It is
+/// output-neutral, so it only exists for before/after timing.
 struct FunnelToggles {
-    bool banded_verification = true;
     bool coalesce_windows = true;
-    bool simd_verification = true;
 
     void apply(core::KernelConfig& kernel) const {
-        kernel.banded_verification = banded_verification;
         kernel.coalesce_windows = coalesce_windows;
-        kernel.simd_verification = simd_verification;
     }
 };
 FunnelToggles parse_funnel_toggles(const util::Args& args);

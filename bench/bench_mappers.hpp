@@ -49,8 +49,8 @@ std::vector<MapperSpec> baseline_specs(const Workload& w,
                                        ocl::Device& cpu);
 
 /// REPUTE / CORAL on the given device shares, capped at 1000 locations.
-/// `toggles` applies the --no-band/--no-coalesce/--no-simd escape
-/// hatches to every kernel the spec builds.
+/// `toggles` applies the --no-coalesce escape hatch to every kernel the
+/// spec builds.
 MapperSpec repute_spec(const Workload& w,
                        std::vector<core::DeviceShare> shares,
                        const std::string& name,

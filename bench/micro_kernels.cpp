@@ -249,7 +249,7 @@ void BM_Verify_MyersBandedBatched(benchmark::State& state) {
                                          words.data());
     align::MyersSimdEngine::PackedWindow lanes[kLanes];
     for (std::size_t l = 0; l < kLanes; ++l) lanes[l] = {words.data(), 0};
-    align::MyersMatcher::BoundedHit hits[kLanes];
+    align::MyersSimdEngine::Hit hits[kLanes];
     for (auto _ : state) {
         engine.best_in_bounded_multi(lanes, kLanes, 110, 5, hits);
         benchmark::DoNotOptimize(hits[0].distance);
@@ -264,27 +264,24 @@ void BM_Verify_MyersBatchedMixedLengths(benchmark::State& state) {
     // The dispatch path under length fragmentation: a candidate mix
     // whose clamped window lengths are deliberately varied (reference-
     // edge clamps in miniature), run through bucket_by_length + full
-    // batches + scalar tail exactly as the kernel dispatches. Items are
-    // verified windows, so ns/item is comparable with the pure-batch
-    // and pure-scalar benches; the gap between them is the cost of
-    // partial-bucket tails at this occupancy.
+    // batches + partial tail batches exactly as the kernel dispatches.
+    // Items are verified windows, so ns/item is comparable with the
+    // pure-batch and pure-scalar benches; the gap between them is the
+    // cost of partial-bucket tails at this occupancy.
     const auto& w = workload();
     const auto& read = w.reads.batch.reads[3];
     const align::MyersSimdEngine engine(read.codes);
-    const align::MyersMatcher matcher(read.codes);
     constexpr std::size_t kLanes = align::MyersSimdEngine::kLanes;
-    // 29 windows over 4 clamped lengths, interleaved: buckets of 13,
-    // 9, 5 and 2 jobs — three full batches, every bucket with a tail.
+    // 29 windows over 4 clamped lengths, interleaved: buckets of 14,
+    // 6, 6 and 3 jobs — one full batch, every bucket with a tail.
     const std::uint32_t mix_lengths[] = {110, 107, 110, 103, 110, 97,
                                          107, 110, 103, 110};
-    std::vector<std::vector<std::uint8_t>> windows;
     std::vector<std::vector<std::uint64_t>> packed;
     std::vector<std::uint32_t> lengths;
     util::Xoshiro256 rng(29);
     for (int i = 0; i < 29; ++i) {
         const std::uint32_t len = mix_lengths[i % 10];
         const std::size_t pos = w.reads.origins[3].position + rng.bounded(4);
-        windows.push_back(w.reference.sequence().extract(pos, len));
         packed.emplace_back(util::PackedDna::packed_word_count(len));
         w.reference.sequence().extract_words(pos, len, packed.back().data());
         lengths.push_back(len);
@@ -292,28 +289,23 @@ void BM_Verify_MyersBatchedMixedLengths(benchmark::State& state) {
     std::vector<std::uint32_t> order;
     std::vector<align::LengthBucket> buckets;
     align::MyersSimdEngine::PackedWindow lanes[kLanes];
-    align::MyersMatcher::BoundedHit hits[kLanes];
+    align::MyersSimdEngine::Hit hits[kLanes];
     std::uint64_t accepted = 0;
     for (auto _ : state) {
         align::bucket_by_length(lengths, order, buckets);
         for (const auto& bucket : buckets) {
-            std::uint32_t i = 0;
-            while (bucket.count - i >= kLanes) {
-                for (std::size_t l = 0; l < kLanes; ++l) {
+            for (std::uint32_t i = 0; i < bucket.count; i += kLanes) {
+                const std::size_t count =
+                    std::min<std::size_t>(kLanes, bucket.count - i);
+                for (std::size_t l = 0; l < count; ++l) {
                     lanes[l] = {packed[order[bucket.first + i + l]].data(),
                                 0};
                 }
-                engine.best_in_bounded_multi(lanes, kLanes, bucket.length,
+                engine.best_in_bounded_multi(lanes, count, bucket.length,
                                              5, hits);
-                for (std::size_t l = 0; l < kLanes; ++l) {
+                for (std::size_t l = 0; l < count; ++l) {
                     accepted += hits[l].distance <= 5 ? 1 : 0;
                 }
-                i += kLanes;
-            }
-            for (; i < bucket.count; ++i) {
-                const auto& win = windows[order[bucket.first + i]];
-                accepted +=
-                    matcher.best_in_bounded(win, 5).distance <= 5 ? 1 : 0;
             }
         }
     }
@@ -328,9 +320,8 @@ BENCHMARK(BM_Verify_MyersBatchedMixedLengths);
 // the kernel verifies them (the reverse-complement pass contributes
 // most of the false positives — true hits and false candidates appear
 // in their real ~1:1 ratio). _Baseline is the pre-funnel path (byte
-// window + full best_in per candidate); _Full is the funnel's scalar
-// path (one byte fetch per coalesced group, δ-banded Myers); _FullSimd
-// is the kernel's default lane-batched path over packed words.
+// window + full best_in per candidate); _Full is the kernel's one
+// verification path (lane-batched δ-banded Myers over packed words).
 struct FunnelMix {
     struct PerStrand {
         std::vector<std::uint8_t> codes;
@@ -399,79 +390,33 @@ void BM_VerifyFunnel_Baseline(benchmark::State& state) {
 BENCHMARK(BM_VerifyFunnel_Baseline);
 
 void BM_VerifyFunnel_Full(benchmark::State& state) {
-    const auto& w = workload();
-    const auto& mix = funnel_mix();
-    const auto text_len = static_cast<std::uint32_t>(w.fm->size());
-    align::MyersMatcher matcher;
-    std::vector<std::uint8_t> window;
-    std::size_t i = 0;
-    std::int64_t verified = 0;
-    std::uint64_t accepted = 0;
-    for (auto _ : state) {
-        const auto& pr = mix.jobs[i++ % mix.jobs.size()];
-        matcher.set_pattern(pr.codes);
-        const auto n = static_cast<std::uint32_t>(pr.codes.size());
-        for (const auto& group : pr.candidates.groups) {
-            bool fetched = false;
-            for (std::uint32_t ci = 0; ci < group.count; ++ci) {
-                const std::uint32_t start =
-                    pr.candidates.positions[group.first + ci];
-                const std::uint32_t win_lo = start >= 5 ? start - 5 : 0;
-                const std::uint32_t win_len =
-                    std::min<std::uint32_t>(n + 10, text_len - win_lo);
-                if (win_len + 5 < n) continue;
-                ++verified;
-                if (!fetched) {
-                    window.resize(group.len);
-                    w.reference.sequence().extract(group.lo, group.len,
-                                                   window.data());
-                    fetched = true;
-                }
-                const std::span<const std::uint8_t> text{
-                    window.data() + (win_lo - group.lo), win_len};
-                accepted +=
-                    matcher.best_in_bounded(text, 5).distance <= 5 ? 1 : 0;
-            }
-        }
-    }
-    benchmark::DoNotOptimize(accepted);
-    state.SetItemsProcessed(verified);
-}
-BENCHMARK(BM_VerifyFunnel_Full);
-
-void BM_VerifyFunnel_FullSimd(benchmark::State& state) {
     // The kernel's deferred lane-batched verification: each coalesced
     // group's packed words are fetched once into a word arena, windows
-    // queue as jobs, are bucketed by clamped length, and run kLanes at
-    // a time straight from the packed words; partial-bucket tails
-    // unpack their window and run scalar. On this real candidate mix
-    // many strands carry a single window (only multimapping repeat
-    // reads fill batches), so this bench pins the dispatch overhead at
-    // realistic occupancy; BM_Verify_MyersBandedBatched shows the
-    // full-lane gain.
+    // queue as jobs, are bucketed by clamped length, and run up to
+    // kLanes at a time straight from the packed words, a bucket's tail
+    // as a partial batch. On this real candidate mix many strands carry
+    // a single window (only multimapping repeat reads fill batches), so
+    // this bench pins the dispatch overhead at realistic occupancy;
+    // BM_Verify_MyersBandedBatched shows the full-lane gain.
     const auto& w = workload();
     const auto& mix = funnel_mix();
     const auto text_len = static_cast<std::uint32_t>(w.fm->size());
     constexpr std::size_t kLanes = align::MyersSimdEngine::kLanes;
     align::MyersSimdEngine engine;
-    align::MyersMatcher matcher;
     std::vector<std::uint64_t> arena;
-    std::vector<std::uint8_t> window;
-    struct Job {
-        std::uint32_t win_lo, arena_base, win_len;
-    };
-    std::vector<Job> jobs;
-    std::vector<std::uint32_t> lengths, order;
+    std::vector<std::uint32_t> arena_bases, lengths, order;
     std::vector<align::LengthBucket> buckets;
+    align::MyersSimdEngine::PackedWindow lanes[kLanes];
+    align::MyersSimdEngine::Hit hits[kLanes];
     std::size_t i = 0;
     std::int64_t verified = 0;
     std::uint64_t accepted = 0;
     for (auto _ : state) {
         const auto& pr = mix.jobs[i++ % mix.jobs.size()];
-        bool engine_set = false, matcher_set = false;
         const auto n = static_cast<std::uint32_t>(pr.codes.size());
         arena.clear();
-        jobs.clear();
+        arena_bases.clear();
+        lengths.clear();
         for (const auto& group : pr.candidates.groups) {
             bool fetched = false;
             std::uint32_t group_base = 0;
@@ -482,7 +427,6 @@ void BM_VerifyFunnel_FullSimd(benchmark::State& state) {
                 const std::uint32_t win_len =
                     std::min<std::uint32_t>(n + 10, text_len - win_lo);
                 if (win_len + 5 < n) continue;
-                ++verified;
                 if (!fetched) {
                     const std::size_t word_off = arena.size();
                     arena.resize(word_off + util::PackedDna::packed_word_count(
@@ -492,51 +436,34 @@ void BM_VerifyFunnel_FullSimd(benchmark::State& state) {
                     group_base = static_cast<std::uint32_t>(word_off * 32);
                     fetched = true;
                 }
-                jobs.push_back(
-                    {win_lo, group_base + (win_lo - group.lo), win_len});
+                arena_bases.push_back(group_base + (win_lo - group.lo));
+                lengths.push_back(win_len);
             }
         }
-        lengths.clear();
-        for (const auto& job : jobs) lengths.push_back(job.win_len);
+        if (lengths.empty()) continue;
+        verified += static_cast<std::int64_t>(lengths.size());
+        engine.set_pattern(pr.codes);
         align::bucket_by_length(lengths, order, buckets);
-        align::MyersSimdEngine::PackedWindow lanes[kLanes];
-        align::MyersMatcher::BoundedHit hits[kLanes];
         for (const auto& bucket : buckets) {
-            std::uint32_t k = 0;
-            while (bucket.count - k >= kLanes) {
-                for (std::size_t l = 0; l < kLanes; ++l) {
+            for (std::uint32_t k = 0; k < bucket.count; k += kLanes) {
+                const std::size_t count =
+                    std::min<std::size_t>(kLanes, bucket.count - k);
+                for (std::size_t l = 0; l < count; ++l) {
                     lanes[l] = {arena.data(),
-                                jobs[order[bucket.first + k + l]].arena_base};
+                                arena_bases[order[bucket.first + k + l]]};
                 }
-                if (!engine_set) {
-                    engine.set_pattern(pr.codes);
-                    engine_set = true;
-                }
-                engine.best_in_bounded_multi(lanes, kLanes, bucket.length,
+                engine.best_in_bounded_multi(lanes, count, bucket.length,
                                              5, hits);
-                for (std::size_t l = 0; l < kLanes; ++l) {
+                for (std::size_t l = 0; l < count; ++l) {
                     accepted += hits[l].distance <= 5 ? 1 : 0;
                 }
-                k += kLanes;
-            }
-            for (; k < bucket.count; ++k) {
-                const auto& job = jobs[order[bucket.first + k]];
-                if (!matcher_set) {
-                    matcher.set_pattern(pr.codes);
-                    matcher_set = true;
-                }
-                window.resize(job.win_len);
-                w.reference.sequence().extract(job.win_lo, job.win_len,
-                                               window.data());
-                accepted +=
-                    matcher.best_in_bounded(window, 5).distance <= 5 ? 1 : 0;
             }
         }
     }
     benchmark::DoNotOptimize(accepted);
     state.SetItemsProcessed(verified);
 }
-BENCHMARK(BM_VerifyFunnel_FullSimd);
+BENCHMARK(BM_VerifyFunnel_Full);
 
 // ------------------------------------------------------ index primitives
 

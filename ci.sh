@@ -16,14 +16,15 @@
 #                 (test_util)
 #   asan          AddressSanitizer build of the index/filter hot paths
 #                 (rank-block and scratch-reuse pointer arithmetic), the
-#                 verification funnel, the SIMD differential harness
-#                 and the bit-vector CIGAR traceback
+#                 verification funnel, the SIMD differential harness,
+#                 mate rescue and the bit-vector CIGAR traceback
 #   ubsan         UndefinedBehaviorSanitizer build of the alignment
 #                 kernels, funnel and SIMD differential harness
 #                 (shift/overflow-dense bit-vector code)
-#   simdoff       -DREPUTE_SIMD=OFF build: the portable scalar-fallback
-#                 lane engine must pass the same differential harness
-#                 and funnel equivalence as the vectorized build
+#   simdoff       -DREPUTE_SIMD=OFF build: the portable lane engine, the
+#                 only verifier on a non-x86 host, must pass the same
+#                 differential harness, funnel equivalence and mate
+#                 rescue checks as the vectorized build
 #   serve         persistent-service smoke: `repute index build` ->
 #                 `repute map --index` byte-compare, daemon round trip
 #                 over the Unix socket + SIGTERM drain, and the .rix
@@ -179,22 +180,25 @@ if has_tier asan; then
           -DCMAKE_BUILD_TYPE=RelWithDebInfo "${LAUNCHER[@]}"
     cmake --build build-asan -j "$JOBS" \
           --target test_index test_filter test_funnel test_myers_simd \
-          test_rix test_align test_cigar
+          test_rix test_align test_cigar test_paired
     ./build-asan/tests/test_index
     ./build-asan/tests/test_filter
     # .rix round trip + corrupt-container rejection under ASan: the
     # mmap'd spans and the bounds-checked name-table cursor are pointer
     # arithmetic over foreign bytes.
     ./build-asan/tests/test_rix
-    # Funnel equivalence (layer toggles byte-identical) under ASan: the
-    # packed-word window fetch into the lane arena and the banded scan's
-    # segment pointers are exactly the code most likely to read out of
-    # bounds.
+    # Kernel output against the per-window reference verifier under
+    # ASan: the packed-word window fetch into the lane arena and the
+    # partial-batch staging are exactly the code most likely to read out
+    # of bounds.
     ./build-asan/tests/test_funnel
     # Lane-batched Myers differential harness: the column-major staging
     # transpose reading packed words at every base offset, and windows
     # ending in a reference's partial last word, under ASan.
     ./build-asan/tests/test_myers_simd
+    # Mate rescue: one engine lane reading the reference's own packed
+    # words, with windows clamped at both reference ends.
+    ./build-asan/tests/test_paired
     # Bit-vector CIGAR traceback against the full-table oracle: the
     # traceback indexes the stored column deltas by row and column, and
     # the clipped windows at the reference end sit right at their edges.
@@ -218,16 +222,18 @@ if has_tier ubsan; then
 fi
 
 if has_tier simdoff; then
-    echo "== scalar fallback: -DREPUTE_SIMD=OFF differential + funnel =="
+    echo "== portable lanes: -DREPUTE_SIMD=OFF differential + funnel + rescue =="
     cmake -B build-simdoff -S . -DREPUTE_SIMD=OFF \
           -DCMAKE_BUILD_TYPE=Release "${LAUNCHER[@]}"
     cmake --build build-simdoff -j "$JOBS" \
-          --target test_align test_funnel test_myers_simd
+          --target test_align test_funnel test_myers_simd test_paired
     ./build-simdoff/tests/test_align
     ./build-simdoff/tests/test_funnel
     # The portable Lane8 engine must be byte-identical to the scalar
     # scan too — same harness, no vector ISA.
     ./build-simdoff/tests/test_myers_simd
+    # Mate rescue runs through the same portable lanes.
+    ./build-simdoff/tests/test_paired
 fi
 
 if has_tier serve; then

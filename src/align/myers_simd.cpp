@@ -439,7 +439,7 @@ void MyersSimdEngine::set_pattern(std::span<const std::uint8_t> pattern) {
 void MyersSimdEngine::best_in_bounded_multi(
     const PackedWindow* windows, std::size_t count,
     std::size_t text_length, std::uint32_t delta,
-    MyersMatcher::BoundedHit* out) const noexcept {
+    Hit* out) const noexcept {
     using lanes::any;
     using lanes::asi;
     using lanes::asu;

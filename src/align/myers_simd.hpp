@@ -88,17 +88,21 @@ public:
         std::size_t base = 0;
     };
 
+    /// One lane's scan result: distance, earliest end and early-exit
+    /// flag, exactly as the scalar banded scan reports them.
+    using Hit = MyersMatcher::BoundedHit;
+
     /// Batched δ-banded early-exit scan: windows[0..count) each hold
     /// exactly `text_length` bases. Writes
     /// out[i] = MyersMatcher(pattern).best_in_bounded(window i, delta)
     /// — bit-for-bit, including the early_exit flag — for every lane.
     /// count must be in [1, kLanes]; unused lanes cost vector width,
-    /// not correctness (partial batches are valid, the kernel simply
-    /// prefers its scalar tail fallback for them).
+    /// not correctness, so a bucket's tail and a single window (mate
+    /// rescue) run as partial batches.
     void best_in_bounded_multi(const PackedWindow* windows,
                                std::size_t count, std::size_t text_length,
                                std::uint32_t delta,
-                               MyersMatcher::BoundedHit* out) const noexcept;
+                               Hit* out) const noexcept;
 
     std::size_t pattern_length() const noexcept { return m_; }
     std::size_t word_count() const noexcept { return words_; }

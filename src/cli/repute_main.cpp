@@ -99,7 +99,6 @@ options:
   --cigar BOOL          host-side re-alignment + CIGAR (default true);
                         single-end reads only: paired records (--reads2)
                         keep CIGAR '*'
-  --no-simd             scalar Myers verification (debugging/timing)
 pipeline:
   --batch-size N        reads per batch (default 4096)
   --queue-depth N       batches buffered between stages (default 4)
@@ -143,7 +142,7 @@ options:
   --pending N           admission queue depth beyond handlers (default 8)
   --mappers N           mapper pool = max total map workers (default =
                         handlers)
-  --smin/--max-locations/--no-simd/--platform/--devices/--schedule
+  --smin/--max-locations/--platform/--devices/--schedule
   --xfer-gbps/--xfer-latency-us/--no-double-buffer
                         session-level mapping knobs, as in `repute map`
 
@@ -191,9 +190,8 @@ constexpr std::string_view kIndexOptions[] = {
     "qgram", "shards", "shard-budget", "overlap",   "jobs"};
 /// session_config_from's knobs, shared by `map` and `serve`.
 constexpr std::string_view kSessionOptions[] = {
-    "smin",      "max-locations", "no-simd",         "platform",
-    "devices",   "schedule",      "xfer-gbps",       "xfer-latency-us",
-    "no-double-buffer"};
+    "smin",     "max-locations", "platform",        "devices",
+    "schedule", "xfer-gbps",     "xfer-latency-us", "no-double-buffer"};
 constexpr std::string_view kMapOptions[] = {
     "help",        "ref",          "index",       "reads",
     "reads2",      "out",          "delta",       "cigar",
@@ -262,7 +260,6 @@ pipeline::SessionConfig session_config_from(const util::Args& args) {
     config.s_min = static_cast<std::uint32_t>(args.get_int("smin", 14));
     config.max_locations =
         static_cast<std::uint32_t>(args.get_int("max-locations", 100));
-    config.simd_verification = !args.get_bool("no-simd", false);
     config.platform = args.get_string("platform", "system1");
     config.devices = split_csv(args.get_string("devices", "i7-2600"));
     const std::string schedule = args.get_string("schedule", "static");

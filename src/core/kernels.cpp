@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "align/myers.hpp"
 #include "filter/candidates.hpp"
 #include "obs/trace.hpp"
 #include "util/packed_dna.hpp"
@@ -93,32 +92,14 @@ void map_strand(const index::FmIndex& fm,
     stages.raw_hits += candidates.raw_hits;
     stages.candidates += candidates.positions.size();
 
-    // --- Verification: every candidate window through δ-banded Myers.
-    // Banding touches only the words inside the δ-band and bails once
-    // the decision is provably fixed; coalescing lets overlapping
-    // windows share one reference fetch. Both are output-neutral: the
-    // accept decisions, distances, and order match the plain best_in()
-    // loop exactly.
-    align::MyersMatcher& matcher = scratch.matcher;
-    // Deferred until a candidate actually reaches the scalar scan: the
-    // batched path may verify every window in full lane batches.
-    bool matcher_set = false;
-    const auto scalar_scan = [&](std::span<const std::uint8_t> text) {
-        if (!matcher_set) {
-            matcher.set_pattern(codes);
-            matcher_set = true;
-        }
-        std::uint32_t distance;
-        if (config.banded_verification) {
-            const auto hit = matcher.best_in_bounded(text, delta);
-            if (hit.early_exit) ++stages.myers_early_exits;
-            distance = hit.distance;
-        } else {
-            distance = matcher.best_in(text).distance;
-        }
-        stages.verify_ops += matcher.last_word_ops() * w.myers_word;
-        return distance;
-    };
+    // --- Verification: every candidate window through the lane-batched
+    // δ-banded Myers engine. Each window's group fetch stages packed
+    // reference words in the arena (coalescing lets overlapping windows
+    // share one fetch) and queues a VerifyJob; jobs are then dispatched
+    // bucketed by clamped window length so every lane of a batch shares
+    // one band schedule, and replayed in candidate order afterwards, so
+    // the accept set, distances and first-n cap point are exactly those
+    // of a per-window best_in() loop.
     const auto accept = [&](std::uint32_t start, std::uint32_t distance) {
         if (distance > delta) return;
         ReadMapping m;
@@ -135,20 +116,6 @@ void map_strand(const index::FmIndex& fm,
     const auto n = static_cast<std::uint32_t>(codes.size());
     const auto text_len = static_cast<std::uint32_t>(fm.size());
     const util::PackedDna& ref_seq = reference.sequence();
-    std::vector<std::uint8_t>& window = scratch.window;
-    window.reserve(n + 2 * delta);
-
-    // Lane-batched verification: instead of scanning each window
-    // inline, stage its group's packed words and queue a VerifyJob,
-    // then dispatch jobs bucketed by clamped window length so every
-    // lane of a batch shares one band schedule; the engine reads the
-    // 2-bit codes straight from the arena. Jobs are replayed in
-    // candidate order afterwards, so output (accept set, distances,
-    // first-n cap point) is byte-identical to the inline loop. Only
-    // meaningful on top of the banded scan — the engine replicates
-    // best_in_bounded, not the unbounded best_in.
-    const bool use_simd =
-        config.simd_verification && config.banded_verification;
     std::vector<std::uint64_t>& arena = scratch.simd_arena;
     std::vector<VerifyJob>& jobs = scratch.simd_jobs;
     arena.clear();
@@ -180,14 +147,11 @@ void map_strand(const index::FmIndex& fm,
                                              text_len - lo)};
         }
 
-        // The group fetch is lazy (only once a candidate needs it):
-        // packed words into the arena when batching, bytes into
-        // `window` for the inline scan.
+        // The group fetch is lazy: only once a candidate needs it.
         bool fetched = false;
         std::uint32_t group_base = 0;
 
         for (std::uint32_t ci = 0; ci < group.count; ++ci) {
-            if (out.size() >= config.max_locations_per_read) break;
             const std::uint32_t start =
                 candidates.positions[group.first + ci];
             // Sharded ownership filter: drop non-owned diagonals before
@@ -201,27 +165,18 @@ void map_strand(const index::FmIndex& fm,
             const std::uint32_t win_len =
                 std::min<std::uint32_t>(n + 2 * delta, text_len - win_lo);
             if (win_len + delta < n) continue; // window cannot fit read
-            const std::uint32_t off = win_lo - group.lo;
 
-            if (use_simd) {
-                if (!fetched) {
-                    const std::size_t word_off = arena.size();
-                    arena.resize(word_off + util::PackedDna::packed_word_count(
-                                                group.len));
-                    ref_seq.extract_words(group.lo, group.len,
-                                          arena.data() + word_off);
-                    group_base = static_cast<std::uint32_t>(word_off * 32);
-                    fetched = true;
-                }
-                jobs.push_back({start, group_base + off, win_len, 0});
-                continue;
-            }
             if (!fetched) {
-                window.resize(group.len);
-                ref_seq.extract(group.lo, group.len, window.data());
+                const std::size_t word_off = arena.size();
+                arena.resize(word_off +
+                             util::PackedDna::packed_word_count(group.len));
+                ref_seq.extract_words(group.lo, group.len,
+                                      arena.data() + word_off);
+                group_base = static_cast<std::uint32_t>(word_off * 32);
                 fetched = true;
             }
-            accept(start, scalar_scan({window.data() + off, win_len}));
+            jobs.push_back({start, group_base + (win_lo - group.lo),
+                            win_len, 0});
         }
     }
 
@@ -229,51 +184,40 @@ void map_strand(const index::FmIndex& fm,
 
     // --- Batched dispatch: bucket jobs by clamped window length (m and
     // δ are fixed within a strand call, so equal-length windows share
-    // the whole band schedule — zero lane divergence), run full batches
-    // through the engine, and hand partial-bucket tails to the scalar
-    // banded scan, unpacking each tail window from the reference.
+    // the whole band schedule — zero lane divergence) and run each
+    // bucket through the engine min(kLanes, remaining) lanes at a time.
     constexpr std::size_t kLanes = align::MyersSimdEngine::kLanes;
     std::vector<std::uint32_t>& lengths = scratch.simd_job_lengths;
     lengths.clear();
     for (const VerifyJob& job : jobs) lengths.push_back(job.win_len);
     align::bucket_by_length(lengths, scratch.simd_order,
                             scratch.simd_buckets);
-    bool engine_set = false;
+    scratch.simd_engine.set_pattern(codes);
     align::MyersSimdEngine::PackedWindow lanes[kLanes];
-    align::MyersMatcher::BoundedHit hits[kLanes];
+    align::MyersSimdEngine::Hit hits[kLanes];
     for (const align::LengthBucket& bucket : scratch.simd_buckets) {
-        std::uint32_t i = 0;
-        while (bucket.count - i >= kLanes) {
-            for (std::size_t k = 0; k < kLanes; ++k) {
-                const VerifyJob& job =
-                    jobs[scratch.simd_order[bucket.first + i + k]];
-                lanes[k] = {arena.data(), job.arena_base};
-            }
-            if (!engine_set) {
-                scratch.simd_engine.set_pattern(codes);
-                engine_set = true;
+        for (std::uint32_t i = 0; i < bucket.count; i += kLanes) {
+            const std::size_t count =
+                std::min<std::size_t>(kLanes, bucket.count - i);
+            const std::uint32_t* order =
+                scratch.simd_order.data() + bucket.first + i;
+            for (std::size_t k = 0; k < count; ++k) {
+                lanes[k] = {arena.data(), jobs[order[k]].arena_base};
             }
             scratch.simd_engine.best_in_bounded_multi(
-                lanes, kLanes, bucket.length, delta, hits);
+                lanes, count, bucket.length, delta, hits);
             stages.verify_ops +=
                 scratch.simd_engine.last_word_ops() * w.simd_word;
-            ++stages.simd_batches;
-            stages.simd_lanes += kLanes;
-            for (std::size_t k = 0; k < kLanes; ++k) {
-                jobs[scratch.simd_order[bucket.first + i + k]].distance =
-                    hits[k].distance;
+            if (count == kLanes) {
+                ++stages.simd_batches;
+                stages.simd_lanes += kLanes;
+            } else {
+                stages.simd_tail += count;
+            }
+            for (std::size_t k = 0; k < count; ++k) {
+                jobs[order[k]].distance = hits[k].distance;
                 if (hits[k].early_exit) ++stages.myers_early_exits;
             }
-            i += kLanes;
-        }
-        for (; i < bucket.count; ++i) {
-            VerifyJob& job = jobs[scratch.simd_order[bucket.first + i]];
-            const std::uint32_t win_lo =
-                job.position >= delta ? job.position - delta : 0;
-            window.resize(job.win_len);
-            ref_seq.extract(win_lo, job.win_len, window.data());
-            job.distance = scalar_scan(window);
-            ++stages.simd_tail;
         }
     }
     // --- Replay in candidate order: identical pushes, identical first-n
@@ -336,9 +280,9 @@ std::uint64_t map_read_workitem(const index::FmIndex& fm,
         m->counter("kernel.simd_batches").add(local.simd_batches);
         if (local.simd_lanes + local.simd_tail > 0) {
             // Fraction of this read's Myers-verified windows that ran
-            // inside full lane batches (the rest were partial-bucket
-            // tails verified scalar). Low values mean the candidate
-            // windows fragmented across many distinct clamped lengths.
+            // inside full lane batches (the rest filled partial batches
+            // at a bucket's tail). Low values mean the candidate windows
+            // fragmented across many distinct clamped lengths.
             m->histogram("kernel.simd_lane_occupancy")
                 .observe(static_cast<double>(local.simd_lanes) /
                          static_cast<double>(local.simd_lanes +

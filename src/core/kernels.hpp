@@ -20,7 +20,6 @@
 #include <span>
 #include <vector>
 
-#include "align/myers.hpp"
 #include "align/myers_simd.hpp"
 #include "core/mapping.hpp"
 #include "filter/candidates.hpp"
@@ -45,12 +44,12 @@ struct OpWeights {
     /// One packed-text word compared by an anchored seed scan (load,
     /// XOR, count-leading-zeros; DESIGN §4b).
     std::uint64_t text_word = 2;
-    std::uint64_t myers_word = 4;     ///< one 64-bit Myers column word
     /// One lane-batched Myers column word advanced across all
-    /// MyersSimdEngine::kLanes candidates at once. Costlier than a
-    /// scalar word (wider ALU op plus blend-based Eq lookup and
-    /// bottom-row bookkeeping, ~3x measured) but amortized over 8
-    /// lanes, so a full batch models ~2.5x cheaper per candidate.
+    /// MyersSimdEngine::kLanes candidates at once, full batch or
+    /// partial. About 3x a scalar column word (weight 4: wider ALU op
+    /// plus blend-based Eq lookup and bottom-row bookkeeping) but
+    /// amortized over 8 lanes, so a full batch models ~2.5x cheaper
+    /// per candidate than a scalar scan.
     std::uint64_t simd_word = 13;
     std::uint64_t per_candidate = 48; ///< window fetch + dedup
 };
@@ -66,19 +65,17 @@ struct KernelConfig {
     /// duplicated work grows with delta+1 and is the main reason the DP
     /// filtration wins at long reads / high error budgets (§IV).
     bool collapse_candidates = true;
-    /// Verification-funnel layers (DESIGN.md "Verification funnel").
-    /// Each is output-neutral — mapping results are byte-identical with
-    /// any combination toggled off; the toggles exist as debugging
-    /// escape hatches and for before/after benchmarks.
-    bool banded_verification = true; ///< δ-banded early-exit Myers
-    bool coalesce_windows = true;    ///< shared fetch of overlapping windows
-    /// Lane-batched Myers verification: candidate windows are queued,
-    /// bucketed by clamped window length (so vector lanes never
-    /// diverge), and verified MyersSimdEngine::kLanes at a time
-    /// straight from packed reference words; partial buckets fall back
-    /// to the scalar banded scan. Requires banded_verification (the
-    /// engine replicates best_in_bounded); with it off this toggle is
-    /// inert. Output-neutral like the other funnel layers.
+    /// Shared fetch of overlapping candidate windows (DESIGN.md
+    /// "Verification funnel"). Output-neutral: mapping results are
+    /// byte-identical with it off; the toggle exists for before/after
+    /// benchmarks. Verification itself has one path: every window goes
+    /// through the lane-batched δ-banded Myers engine, bucketed by
+    /// clamped window length (so vector lanes never diverge),
+    /// MyersSimdEngine::kLanes at a time with a partial batch at each
+    /// bucket's tail.
+    bool coalesce_windows = true;
+    /// Read by nothing: verification has one path. Kept because the
+    /// end-to-end benchmark still assigns it.
     bool simd_verification = true;
     /// Ownership window for sharded mapping: only candidate diagonals in
     /// [report_lo, report_hi) are verified and reported. Shard kernels
@@ -120,8 +117,8 @@ struct StageTotals : obs::StageCounters {
     std::uint64_t windows_coalesced = 0;  ///< windows sharing a fetch
     // Lane-batched verification effectiveness.
     std::uint64_t simd_batches = 0; ///< full-lane engine dispatches
-    std::uint64_t simd_lanes = 0;   ///< windows verified inside batches
-    std::uint64_t simd_tail = 0;    ///< partial-bucket windows gone scalar
+    std::uint64_t simd_lanes = 0;   ///< windows verified in full batches
+    std::uint64_t simd_tail = 0;    ///< windows verified in partial batches
 
     StageTotals& operator+=(const StageTotals& other) noexcept;
 };
@@ -130,7 +127,7 @@ struct StageTotals : obs::StageCounters {
 /// candidate order: the window's packed words are staged in
 /// KernelScratch::simd_arena, the batched dispatch fills in the scan
 /// result, and the jobs then replay into the output in order, exactly
-/// where the inline scalar loop would have pushed them (first-n cap
+/// where a per-window verify loop would have pushed them (first-n cap
 /// semantics included).
 struct VerifyJob {
     std::uint32_t position = 0;   ///< candidate diagonal (mapping position)
@@ -140,8 +137,8 @@ struct VerifyJob {
 };
 
 /// Per-work-item reusable buffers: every transient the kernel needs —
-/// seed plan, DP scratch, candidate set, verification window, RC codes,
-/// Myers state. One KernelScratch per worker thread makes the
+/// seed plan, DP scratch, candidate set, RC codes, verification
+/// staging, Myers state. One KernelScratch per worker thread makes the
 /// steady-state kernel allocation-free (buffers grow to the
 /// read-parameter bound on the first read and are recycled after), the
 /// host analogue of statically budgeted OpenCL private memory.
@@ -150,14 +147,11 @@ struct KernelScratch {
     filter::SeedScratch seeder;
     filter::CandidateSet candidates;
     std::vector<std::uint32_t> hits;   ///< per-seed locate buffer
-    std::vector<std::uint8_t> window;  ///< candidate reference window
     std::vector<std::uint8_t> rc_codes;///< reverse-complemented read
-    align::MyersMatcher matcher;
-    // Lane-batched verification staging (simd_verification): each
-    // coalesced group's packed words land in the arena (one fetch per
-    // group), jobs record the deferred scans, and the bucket tables
-    // drive the length-homogeneous dispatch. All reuse capacity — the
-    // zero-allocation steady state holds with the batched path on.
+    // Lane-batched verification staging: each coalesced group's packed
+    // words land in the arena (one fetch per group), jobs record the
+    // deferred scans, and the bucket tables drive the length-homogeneous
+    // dispatch. All reuse capacity — the zero-allocation steady state.
     align::MyersSimdEngine simd_engine;
     std::vector<std::uint64_t> simd_arena;
     std::vector<VerifyJob> simd_jobs;

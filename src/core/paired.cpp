@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "align/myers.hpp"
+#include "align/myers_simd.hpp"
 #include "util/packed_dna.hpp"
 
 namespace repute::core {
@@ -132,9 +132,15 @@ bool PairedMapper::rescue(const genomics::Read& mate,
     const std::vector<std::uint8_t> pattern =
         strand == genomics::Strand::Reverse ? mate.reverse_complement()
                                             : mate.codes;
-    const auto window = reference_->sequence().extract(win_lo, win_len);
-    const align::MyersMatcher matcher(pattern);
-    const auto hit = matcher.best_in(window);
+    // One lane of the kernel's verifier, straight from the reference's
+    // packed words. The banded scan reports the exact distance and
+    // earliest end whenever the distance is within budget, and rescue
+    // rejects anything above it.
+    const align::MyersSimdEngine engine(pattern);
+    const align::MyersSimdEngine::PackedWindow window{
+        reference_->sequence().words().data(), win_lo};
+    align::MyersSimdEngine::Hit hit;
+    engine.best_in_bounded_multi(&window, 1, win_len, budget, &hit);
     if (hit.distance > budget) return false;
 
     out.position = win_lo + (hit.text_end > mate_len

@@ -113,7 +113,6 @@ void MappingSession::build_pool() {
     core::HeterogeneousMapperConfig mapper_config;
     mapper_config.kernel.s_min = config_.s_min;
     mapper_config.kernel.max_locations_per_read = config_.max_locations;
-    mapper_config.kernel.simd_verification = config_.simd_verification;
     mapper_config.schedule = config_.schedule;
     mapper_config.scheduler = config_.scheduler;
     mapper_config.double_buffer = config_.double_buffer;

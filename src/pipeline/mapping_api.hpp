@@ -57,6 +57,8 @@ struct SessionConfig {
     std::string flavor = "repute";
     std::uint32_t s_min = 14;
     std::uint32_t max_locations = 100;
+    /// Read by nothing: verification has one path. Kept because the
+    /// end-to-end benchmark still assigns it.
     bool simd_verification = true;
     core::ScheduleMode schedule = core::ScheduleMode::StaticSplit;
     core::SchedulerConfig scheduler;

@@ -25,4 +25,7 @@ check --dleta map --ref ref.fa --reads reads.fq --dleta 3
 check --shard index build --ref ref.fa --out ref.rix --shard 4
 check --handler serve --index ref.rix --socket repute.sock --handler 2
 check --tennant client --socket repute.sock --reads reads.fq --tennant ci
+# Retired options are refused like misspelled ones.
+check --no-simd map --ref ref.fa --reads reads.fq --no-simd
+check --no-simd serve --index ref.rix --socket repute.sock --no-simd
 echo "unknown options refused by name"

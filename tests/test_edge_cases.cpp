@@ -17,6 +17,7 @@
 #include "genomics/read_sim.hpp"
 #include "index/fm_index.hpp"
 #include "ocl/device.hpp"
+#include "reference_verifier.hpp"
 
 namespace {
 
@@ -249,8 +250,8 @@ TEST(EdgeMapping, ReadsAtReferenceBoundariesMapWithFunnelOnAndOff) {
     // Reads planted at position 0 and at ref_len - read_len force the
     // kernel's window clamping on both edges: the left window loses its
     // delta pad (win_lo clamps to 0) and the right one is truncated at
-    // text_len. Both must map identically with every funnel layer on
-    // and off.
+    // text_len. Both must map identically with window coalescing on and
+    // off, and equal the per-window scalar scan outside the kernel.
     GenomeSimConfig gconfig;
     gconfig.length = 30'000;
     gconfig.seed = 77;
@@ -278,7 +279,6 @@ TEST(EdgeMapping, ReadsAtReferenceBoundariesMapWithFunnelOnAndOff) {
 
     repute::core::KernelConfig funnel_on;
     repute::core::KernelConfig funnel_off;
-    funnel_off.banded_verification = false;
     funnel_off.coalesce_windows = false;
     const repute::filter::MemoryOptimizedSeeder seeder(12);
 
@@ -291,6 +291,9 @@ TEST(EdgeMapping, ReadsAtReferenceBoundariesMapWithFunnelOnAndOff) {
         repute::core::map_read_workitem(fm, ref, seeder, read, 5,
                                         funnel_off, out_off, scratch_off);
         ASSERT_EQ(out_on, out_off) << "read " << read.id;
+        ASSERT_EQ(out_on, repute::oracle::reference_verify(
+                              fm, ref, seeder, read, 5, funnel_on))
+            << "read " << read.id;
 
         const std::uint32_t expected = i < 2 ? 0u : ref_len - n;
         ReadMapping truth;

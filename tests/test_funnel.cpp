@@ -1,6 +1,8 @@
-// Verification funnel: byte-identical mapping output with each funnel
-// layer toggled off, the zero certificate's (layer 0) reach and error
-// behavior, and the funnel metrics exported through the obs layer.
+// Verification funnel: mapping output equal to a reference verifier
+// outside the kernel (every window through the unbanded scalar scan)
+// and byte-identical with window coalescing off, the zero certificate's
+// (layer 0) reach and error behavior, and the funnel metrics exported
+// through the obs layer.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "genomics/read_sim.hpp"
 #include "index/fm_index.hpp"
 #include "obs/trace.hpp"
+#include "reference_verifier.hpp"
 #include "util/prng.hpp"
 
 namespace {
@@ -32,6 +35,7 @@ using repute::genomics::Reference;
 using repute::genomics::simulate_genome;
 using repute::genomics::simulate_reads;
 using repute::index::FmIndex;
+using repute::oracle::reference_verify;
 using repute::util::Xoshiro256;
 
 std::vector<std::uint8_t> random_codes(Xoshiro256& rng, std::size_t n) {
@@ -55,6 +59,25 @@ protected:
                               config, out, scratch, stages);
             results.push_back(out);
         }
+    }
+
+    /// Maps every read with `config` and holds each result to the
+    /// reference verifier; returns the reads whose output hit the
+    /// first-n cap.
+    std::size_t expect_reference(const KernelConfig& config,
+                                 const repute::filter::Seeder& seeder) {
+        KernelScratch scratch;
+        std::vector<ReadMapping> out;
+        std::size_t capped = 0;
+        for (const auto& read : sim_.batch.reads) {
+            map_read_workitem(*fm_, reference_, seeder, read, delta_,
+                              config, out, scratch);
+            EXPECT_EQ(out, reference_verify(*fm_, reference_, seeder, read,
+                                            delta_, config))
+                << seeder.name() << " diverged on read " << read.id;
+            if (out.size() == config.max_locations_per_read) ++capped;
+        }
+        return capped;
     }
 
     void SetUp() override {
@@ -90,28 +113,42 @@ TEST_F(FunnelEquivalence, EachLayerOffMatchesFullFunnel) {
     EXPECT_GT(stages.anchor_locates, 0u);
     EXPECT_GT(stages.text_settled, 0u);
 
-    const char* names[] = {"no-band", "no-coalesce", "no-simd", "all-off",
-                           "all-off+simd"};
-    KernelConfig configs[5];
-    configs[0].banded_verification = false;
-    configs[1].coalesce_windows = false;
-    configs[2].simd_verification = false;
-    configs[3].banded_verification = false;
-    configs[3].coalesce_windows = false;
-    configs[3].simd_verification = false;
-    // simd left on without the band it batches: must be inert.
-    configs[4].banded_verification = false;
-    configs[4].coalesce_windows = false;
+    // Both batch shapes run: full lane batches and partial ones at the
+    // bucket tails.
+    EXPECT_GT(stages.simd_batches, 0u);
+    EXPECT_GT(stages.simd_tail, 0u);
 
-    for (int i = 0; i < 5; ++i) {
-        std::vector<std::vector<ReadMapping>> toggled;
-        map_all(configs[i], toggled);
-        ASSERT_EQ(toggled.size(), full.size());
-        for (std::size_t r = 0; r < full.size(); ++r) {
-            ASSERT_EQ(toggled[r], full[r])
-                << names[i] << " diverged on read " << r;
-        }
+    KernelConfig no_coalesce;
+    no_coalesce.coalesce_windows = false;
+    std::vector<std::vector<ReadMapping>> toggled;
+    map_all(no_coalesce, toggled);
+    ASSERT_EQ(toggled.size(), full.size());
+    for (std::size_t r = 0; r < full.size(); ++r) {
+        ASSERT_EQ(toggled[r], full[r]) << "no-coalesce diverged on read " << r;
     }
+    // Both against the per-window scalar scan outside the kernel.
+    expect_reference(KernelConfig{}, seeder_);
+    expect_reference(no_coalesce, seeder_);
+}
+
+TEST_F(FunnelEquivalence, FirstNCapAndCoralFlowMatchReferenceVerifier) {
+    // A binding first-n cap: the kernel defers every scan and replays
+    // the results in candidate order, so the cap must cut at the very
+    // window the per-window loop stops at, across both strands.
+    KernelConfig capped;
+    capped.max_locations_per_read = 3;
+    EXPECT_GT(expect_reference(capped, seeder_), 0u)
+        << "the cap never bound on this fixture";
+    capped.coalesce_windows = false;
+    expect_reference(capped, seeder_);
+
+    // CORAL's streaming flow through REPUTE's DP seeder: uncollapsed,
+    // duplicated diagonals reach verification.
+    KernelConfig coral;
+    coral.collapse_candidates = false;
+    expect_reference(coral, seeder_);
+    coral.max_locations_per_read = 3;
+    expect_reference(coral, seeder_);
 }
 
 TEST_F(FunnelEquivalence, HeuristicSeederAgreesToo) {
@@ -119,27 +156,18 @@ TEST_F(FunnelEquivalence, HeuristicSeederAgreesToo) {
     // unsorted-by-diagonal windows through the funnel — equivalence
     // must hold there as well.
     repute::filter::HeuristicSeeder coral_seeder;
-    KernelConfig full_config;
-    full_config.collapse_candidates = false;
-    KernelConfig off_config = full_config;
-    off_config.banded_verification = false;
-    off_config.coalesce_windows = false;
-
-    KernelScratch scratch_a, scratch_b;
-    std::vector<ReadMapping> out_a, out_b;
-    for (const auto& read : sim_.batch.reads) {
-        map_read_workitem(*fm_, reference_, coral_seeder, read, delta_,
-                          full_config, out_a, scratch_a, nullptr);
-        map_read_workitem(*fm_, reference_, coral_seeder, read, delta_,
-                          off_config, out_b, scratch_b, nullptr);
-        ASSERT_EQ(out_a, out_b) << "read " << read.id;
-    }
+    KernelConfig config;
+    config.collapse_candidates = false;
+    expect_reference(config, coral_seeder);
+    config.coalesce_windows = false;
+    expect_reference(config, coral_seeder);
 }
 
 TEST_F(FunnelEquivalence, CoralFlowWorkIsUnchanged) {
     // The zero certificate runs only in REPUTE's flow: CORAL's modeled
     // work on this fixture is pinned bit-for-bit, so layer 0 cannot
-    // move it.
+    // move it. (Bucket tails run as partial lane batches, charged per
+    // vector word-column; CORAL's duplicated windows fill them well.)
     repute::filter::HeuristicSeeder coral_seeder;
     KernelConfig config;
     config.collapse_candidates = false;
@@ -151,7 +179,7 @@ TEST_F(FunnelEquivalence, CoralFlowWorkIsUnchanged) {
         total_ops += map_read_workitem(*fm_, reference_, coral_seeder, read,
                                        delta_, config, out, scratch, &stages);
     }
-    EXPECT_EQ(total_ops, 529'789u);
+    EXPECT_EQ(total_ops, 480'486u);
     EXPECT_EQ(stages.zero_certified, 0u);
     EXPECT_EQ(stages.anchor_locates, 0u);
 }
@@ -211,22 +239,16 @@ TEST_F(FunnelEquivalence, FunnelCountersExportThroughObs) {
 }
 
 TEST_F(FunnelEquivalence, EarlyExitAndCostAccountingEngage) {
-    // Near-miss windows reach Myers and the banded scan must (a) bail
-    // early on some of them and (b) report fewer verify ops than the
-    // full-scan configuration.
-    KernelConfig banded_only;
-    StageTotals banded_stages;
+    // Near-miss windows reach Myers and the banded scan must bail early
+    // on some of them; the engine's column words are charged on top of
+    // the per-candidate fetch cost.
+    StageTotals stages;
     std::vector<std::vector<ReadMapping>> results;
-    map_all(banded_only, results, &banded_stages);
-    EXPECT_GT(banded_stages.myers_early_exits, 0u);
-
-    KernelConfig none;
-    none.banded_verification = false;
-    none.coalesce_windows = false;
-    StageTotals full_scan_stages;
-    map_all(none, results, &full_scan_stages);
-    EXPECT_LT(banded_stages.verify_ops, full_scan_stages.verify_ops)
-        << "banded verification did not reduce modeled verify cost";
+    map_all(KernelConfig{}, results, &stages);
+    EXPECT_GT(stages.myers_early_exits, 0u);
+    const repute::core::OpWeights weights;
+    EXPECT_GT(stages.verify_ops, stages.raw_hits * weights.per_candidate)
+        << "no Myers work was charged to verification";
 }
 
 } // namespace

@@ -86,13 +86,10 @@ TEST(KernelScratch, SteadyStateKernelDoesNotAllocate) {
 
     const repute::filter::MemoryOptimizedSeeder repute_seeder(12);
     const repute::filter::HeuristicSeeder coral_seeder;
-    // The lane-batched verification path defers Myers scans through the
-    // staging arena / job / decision buffers — the zero-allocation
-    // contract must hold with it on (the default) and off.
-    KernelConfig simd_on;
-    simd_on.simd_verification = true;
-    KernelConfig simd_off;
-    simd_off.simd_verification = false;
+    // Verification defers every Myers scan through the staging arena,
+    // job list and bucket tables — the zero-allocation contract covers
+    // them.
+    const KernelConfig config;
     // No metrics registry is installed in this binary: the registry's
     // name lookups allocate and would (correctly) fail the assertion —
     // production mappers hoist counter handles, tested elsewhere.
@@ -101,47 +98,34 @@ TEST(KernelScratch, SteadyStateKernelDoesNotAllocate) {
     for (const auto* seeder :
          {static_cast<const repute::filter::Seeder*>(&repute_seeder),
           static_cast<const repute::filter::Seeder*>(&coral_seeder)}) {
-        for (const auto& config : {simd_on, simd_off}) {
-            const char* simd_tag =
-                config.simd_verification ? "simd-on" : "simd-off";
-            KernelScratch scratch;
-            std::vector<ReadMapping> out;
-            StageTotals stages;
-            std::uint64_t warm_ops = 0;
-            for (const auto& read : sim.batch.reads) {
-                warm_ops += map_read_workitem(fm, reference, *seeder,
-                                              read, 5, config, out,
-                                              scratch, &stages);
-            }
-            ASSERT_TRUE(scratch.warm);
-            if (config.simd_verification) {
-                // The deferred staging path (arena + jobs + decisions +
-                // bucket tables) must actually run here; whether jobs
-                // land in full batches or the scalar tail is workload-
-                // dependent (full-batch engagement is pinned in
-                // test_funnel).
-                ASSERT_GT(stages.simd_lanes + stages.simd_tail, 0u)
-                    << "deferred verification never engaged ("
-                    << seeder->name() << ")";
-            }
-
-            const std::uint64_t before = g_allocations.load();
-            std::uint64_t steady_ops = 0;
-            for (const auto& read : sim.batch.reads) {
-                steady_ops += map_read_workitem(fm, reference, *seeder,
-                                                read, 5, config, out,
-                                                scratch, &stages);
-            }
-            const std::uint64_t after = g_allocations.load();
-            EXPECT_EQ(after - before, 0u)
-                << (after - before)
-                << " heap allocations in steady state ("
-                << seeder->name() << ", " << simd_tag << ")";
-            // Identical work both passes — the warm pass maps correctly
-            // too.
-            EXPECT_EQ(steady_ops, warm_ops)
-                << seeder->name() << ", " << simd_tag;
+        KernelScratch scratch;
+        std::vector<ReadMapping> out;
+        StageTotals stages;
+        std::uint64_t warm_ops = 0;
+        for (const auto& read : sim.batch.reads) {
+            warm_ops += map_read_workitem(fm, reference, *seeder, read, 5,
+                                          config, out, scratch, &stages);
         }
+        ASSERT_TRUE(scratch.warm);
+        // The deferred staging path must actually run here; how jobs
+        // split between full and partial batches is workload-dependent
+        // (both are pinned in test_funnel).
+        ASSERT_GT(stages.simd_lanes + stages.simd_tail, 0u)
+            << "deferred verification never engaged (" << seeder->name()
+            << ")";
+
+        const std::uint64_t before = g_allocations.load();
+        std::uint64_t steady_ops = 0;
+        for (const auto& read : sim.batch.reads) {
+            steady_ops += map_read_workitem(fm, reference, *seeder, read, 5,
+                                            config, out, scratch, &stages);
+        }
+        const std::uint64_t after = g_allocations.load();
+        EXPECT_EQ(after - before, 0u)
+            << (after - before) << " heap allocations in steady state ("
+            << seeder->name() << ")";
+        // Identical work both passes — the warm pass maps correctly too.
+        EXPECT_EQ(steady_ops, warm_ops) << seeder->name();
     }
 }
 

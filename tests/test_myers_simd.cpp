@@ -2,8 +2,8 @@
 // SIMD engine, which reads its windows from 2-bit packed words,
 // byte-identical to the scalar banded scan across every geometry and
 // base offset the kernel can produce, the bucketing permutation
-// property, and full-mapper SAM equivalence with the batched path
-// on/off.
+// property, and full-mapper SAM equal to a reference verifier that
+// scans every window alone with the unbanded scalar Myers.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "core/kernels.hpp"
 #include "core/repute_mapper.hpp"
 #include "filter/candidates.hpp"
+#include "filter/heuristic_seeder.hpp"
 #include "filter/memopt_seeder.hpp"
 #include "genomics/genome_sim.hpp"
 #include "genomics/multi_reference.hpp"
@@ -28,6 +29,7 @@
 #include "index/fm_index.hpp"
 #include "ocl/device.hpp"
 #include "pipeline/sam_emitter.hpp"
+#include "reference_verifier.hpp"
 #include "util/packed_dna.hpp"
 #include "util/prng.hpp"
 
@@ -568,11 +570,14 @@ ocl::DeviceProfile test_profile() {
 }
 
 TEST(SimdKernelEquivalence, SamByteIdenticalAcrossSimdAndFunnelMatrix) {
-    // The acceptance criterion end to end: the full mapper's SAM
-    // output must be byte-identical with simd_verification on and off,
-    // on top of every funnel-layer combination (the batched path
-    // re-orders verification work, so this pins the decision-replay
-    // ordering, cap semantics, and distances all at once).
+    // The acceptance criterion end to end: the full mapper's SAM output
+    // must be byte-identical to the SAM of a reference verifier that
+    // scans each candidate window alone with the unbanded scalar Myers,
+    // with window coalescing on and off. The kernel defers every scan
+    // into length-bucketed lane batches (full and partial), so this
+    // pins the decision-replay ordering, cap semantics and distances
+    // all at once — in REPUTE's flow, under a binding first-n cap, and
+    // in CORAL's streaming flow.
     genomics::GenomeSimConfig gconfig;
     gconfig.length = 80'000;
     gconfig.seed = 33;
@@ -589,44 +594,58 @@ TEST(SimdKernelEquivalence, SamByteIdenticalAcrossSimdAndFunnelMatrix) {
                                               rconfig);
     const std::uint32_t delta = 5;
 
-    const auto sam_for = [&](const core::KernelConfig& kernel) {
-        ocl::Device device(test_profile());
-        core::HeterogeneousMapperConfig config;
-        config.kernel = kernel;
-        const auto mapper = core::make_repute(multi.concatenated(), fm,
-                                              {{&device, 1.0}}, config);
+    const auto render = [&](const core::MapResult& result) {
         std::ostringstream sam;
         pipeline::SamEmitter emitter(sam, multi, {true, delta});
         emitter.write_header();
-        const auto result = mapper->map(sim.batch, delta);
         for (std::size_t i = 0; i < sim.batch.size(); ++i) {
             sam << emitter.render_read(sim.batch, i, result);
         }
         return sam.str();
     };
+    const auto mapper_sam = [&](const core::KernelConfig& kernel,
+                                bool coral) {
+        ocl::Device device(test_profile());
+        core::HeterogeneousMapperConfig config;
+        config.kernel = kernel;
+        const auto mapper =
+            coral ? core::make_coral(multi.concatenated(), fm,
+                                     {{&device, 1.0}}, config)
+                  : core::make_repute(multi.concatenated(), fm,
+                                      {{&device, 1.0}}, config);
+        return render(mapper->map(sim.batch, delta));
+    };
+    const auto reference_sam = [&](const core::KernelConfig& kernel,
+                                   const filter::Seeder& seeder) {
+        core::MapResult result;
+        for (const auto& read : sim.batch.reads) {
+            result.per_read.push_back(repute::oracle::reference_verify(
+                fm, multi.concatenated(), seeder, read, delta, kernel));
+        }
+        return render(result);
+    };
 
-    // Funnel matrix (banded × coalesce), each with simd on vs off.
-    // With banded_verification off the simd toggle is inert by
-    // contract — included to prove exactly that.
-    std::optional<std::string> reference_sam;
-    for (int mask = 0; mask < 4; ++mask) {
-        core::KernelConfig on;
-        on.banded_verification = (mask & 1) != 0;
-        on.coalesce_windows = (mask & 2) != 0;
-        on.simd_verification = true;
-        core::KernelConfig off = on;
-        off.simd_verification = false;
-
-        const std::string sam_on = sam_for(on);
-        const std::string sam_off = sam_for(off);
-        ASSERT_EQ(sam_on, sam_off)
-            << "SIMD on/off diverged at funnel mask " << mask;
-        if (!reference_sam) {
-            reference_sam = sam_on;
-        } else {
-            ASSERT_EQ(sam_on, *reference_sam)
-                << "funnel mask " << mask
-                << " changed output (layers must be output-neutral)";
+    const filter::MemoryOptimizedSeeder repute_seeder(12);
+    const filter::HeuristicSeeder coral_seeder(12);
+    struct Fixture {
+        const char* name;
+        std::uint32_t cap;
+        bool coral;
+    };
+    const Fixture fixtures[] = {
+        {"repute", 100, false}, {"repute cap 3", 3, false},
+        {"coral", 100, true}};
+    for (const Fixture& f : fixtures) {
+        core::KernelConfig kernel;
+        kernel.max_locations_per_read = f.cap;
+        kernel.collapse_candidates = !f.coral;
+        const std::string expected = reference_sam(
+            kernel, f.coral ? static_cast<const filter::Seeder&>(coral_seeder)
+                            : repute_seeder);
+        for (const bool coalesce : {true, false}) {
+            kernel.coalesce_windows = coalesce;
+            EXPECT_EQ(mapper_sam(kernel, f.coral), expected)
+                << f.name << ", coalesce " << (coalesce ? "on" : "off");
         }
     }
 }

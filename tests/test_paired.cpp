@@ -9,6 +9,7 @@
 #include <string>
 
 #include "align/edit_distance.hpp"
+#include "align/myers.hpp"
 #include "core/paired.hpp"
 #include "core/repute_mapper.hpp"
 #include "genomics/genome_sim.hpp"
@@ -19,6 +20,7 @@
 #include "ocl/device.hpp"
 #include "pipeline/mapping_api.hpp"
 #include "pipeline/sam_emitter.hpp"
+#include "util/prng.hpp"
 
 namespace {
 
@@ -374,6 +376,199 @@ TEST(PairedSam, MatesOnDifferentSequences) {
         EXPECT_EQ(rec.pnext, e.pnext);
         EXPECT_EQ(rec.tlen, e.tlen);
     }
+}
+
+/// Hands out fixed mapping lists — `first` for the first mate batch,
+/// nothing for the second — so a test chooses every rescue anchor.
+class FixedMapper : public repute::core::Mapper {
+public:
+    std::vector<std::vector<ReadMapping>> first;
+
+    repute::core::MapResult map(const repute::genomics::ReadBatch& batch,
+                                std::uint32_t) override {
+        repute::core::MapResult result;
+        if (calls_++ % 2 == 0) result.per_read = first;
+        result.per_read.resize(batch.size());
+        return result;
+    }
+    std::string_view name() const noexcept override { return "fixed"; }
+
+private:
+    std::size_t calls_ = 0;
+};
+
+TEST(PairedRescue, MatchesBruteForceScanOfTheRescueWindow) {
+    // Rescue verifies the missing mate with one lane of the kernel's
+    // banded engine. Every rescued mate's position, strand and edit
+    // distance must equal the unbanded scalar best_in over the same
+    // window, at every budget 0..delta+bonus, including windows clamped
+    // at reference position 0 and at the reference end.
+    GenomeSimConfig gconfig;
+    gconfig.length = 20'000;
+    gconfig.seed = 83;
+    const Reference reference = simulate_genome(gconfig);
+    const auto text_len = static_cast<std::uint32_t>(reference.size());
+    repute::util::Xoshiro256 rng(29);
+    PairedConfig config;
+    config.min_insert = 200;
+    config.max_insert = 500;
+
+    // The expected start range [lo, hi] of the missing mate, as the
+    // library geometry predicts it (false when it is empty).
+    const auto start_range = [&](const ReadMapping& anchor,
+                                 std::uint32_t anchor_len,
+                                 std::uint32_t mate_len, std::uint32_t& lo,
+                                 std::uint32_t& hi) {
+        const std::uint32_t a = anchor.position;
+        if (anchor.strand == Strand::Forward) {
+            const std::uint32_t base = a + config.min_insert;
+            lo = base > mate_len ? base - mate_len : 0;
+            hi = a + config.max_insert - mate_len;
+        } else {
+            const std::uint32_t end = a + anchor_len;
+            lo = end >= config.max_insert ? end - config.max_insert : 0;
+            hi = end >= config.min_insert ? end - config.min_insert : 0;
+        }
+        hi = std::min(hi, text_len - mate_len);
+        return lo < text_len && hi >= lo;
+    };
+    const auto mutate = [&](std::vector<std::uint8_t> codes,
+                            std::uint64_t edits) {
+        for (std::uint64_t e = 0; e < edits; ++e) {
+            const std::size_t at = rng.bounded(codes.size());
+            const auto base = static_cast<std::uint8_t>(rng.bounded(4));
+            switch (rng.bounded(3)) {
+                case 0: codes[at] = base; break;
+                case 1: codes.insert(codes.begin() + at, base); break;
+                default: codes.erase(codes.begin() + at); break;
+            }
+        }
+        return codes;
+    };
+
+    std::size_t rescued = 0, declined = 0, at_start = 0, at_end = 0;
+    for (const std::uint32_t delta : {0u, 2u, 4u}) {
+        for (const std::uint32_t bonus : {0u, 1u, 3u}) {
+            config.rescue_delta_bonus = bonus;
+            const std::uint32_t budget = delta + bonus;
+            FixedMapper single;
+            PairedMapper paired(single, reference, config);
+
+            repute::genomics::ReadBatch first, second;
+            struct Expected {
+                bool rescue = false;
+                ReadMapping mate;
+                bool at_start = false, at_end = false;
+            };
+            std::vector<Expected> expected;
+            for (std::uint32_t i = 0; i < 60; ++i) {
+                const auto anchor_len =
+                    static_cast<std::uint32_t>(80 + rng.bounded(71));
+                const auto mate_len =
+                    static_cast<std::uint32_t>(80 + rng.bounded(71));
+                // Thirds: reverse anchors near the start (the forward
+                // mate's window clamps at 0), forward anchors near the
+                // end (the reverse mate's window clamps at the end), and
+                // anything anywhere.
+                ReadMapping anchor;
+                if (i % 3 == 0) {
+                    anchor.strand = Strand::Reverse;
+                    anchor.position =
+                        static_cast<std::uint32_t>(rng.bounded(300));
+                } else if (i % 3 == 1) {
+                    anchor.strand = Strand::Forward;
+                    anchor.position =
+                        text_len - anchor_len -
+                        static_cast<std::uint32_t>(rng.bounded(600));
+                } else {
+                    anchor.strand =
+                        rng.chance(0.5) ? Strand::Forward : Strand::Reverse;
+                    anchor.position = static_cast<std::uint32_t>(
+                        rng.bounded(text_len - anchor_len));
+                }
+                const Strand mate_strand = anchor.strand == Strand::Forward
+                                               ? Strand::Reverse
+                                               : Strand::Forward;
+
+                // Plant the mate in its expected range with up to
+                // budget + 1 random edits (indels change its length),
+                // or draw it from anywhere.
+                std::uint32_t lo = 0, hi = 0;
+                std::vector<std::uint8_t> pattern;
+                if (start_range(anchor, anchor_len, mate_len, lo, hi) &&
+                    !rng.chance(0.1)) {
+                    const auto p = static_cast<std::uint32_t>(
+                        lo + rng.bounded(hi - lo + 1));
+                    pattern =
+                        mutate(reference.sequence().extract(p, mate_len),
+                               rng.bounded(budget + 2));
+                } else {
+                    pattern = reference.sequence().extract(
+                        rng.bounded(text_len - mate_len), mate_len);
+                }
+                repute::genomics::Read mate;
+                mate.codes = pattern;
+                if (mate_strand == Strand::Reverse) {
+                    mate.codes = mate.reverse_complement();
+                }
+
+                // Brute force over the window the mate's own length
+                // gives.
+                Expected e;
+                const auto len = static_cast<std::uint32_t>(pattern.size());
+                if (start_range(anchor, anchor_len, len, lo, hi)) {
+                    const std::uint32_t win_lo =
+                        lo > budget ? lo - budget : 0;
+                    const std::uint32_t win_len =
+                        std::min(hi - lo + len + 2 * budget,
+                                 text_len - win_lo);
+                    const auto hit =
+                        repute::align::MyersMatcher(pattern).best_in(
+                            reference.sequence().extract(win_lo, win_len));
+                    e.rescue = win_len >= len && hit.distance <= budget;
+                    e.mate.position =
+                        win_lo +
+                        (hit.text_end > len ? hit.text_end - len : 0);
+                    e.mate.edit_distance =
+                        static_cast<std::uint16_t>(hit.distance);
+                    e.mate.strand = mate_strand;
+                    e.at_start = win_lo == 0;
+                    e.at_end = win_lo + win_len == text_len;
+                }
+
+                repute::genomics::Read anchor_read;
+                anchor_read.codes.assign(anchor_len, 0);
+                first.reads.push_back(std::move(anchor_read));
+                second.reads.push_back(std::move(mate));
+                single.first.push_back({anchor});
+                expected.push_back(e);
+            }
+
+            const auto result = paired.map_pairs(first, second, delta);
+            for (std::size_t i = 0; i < expected.size(); ++i) {
+                const auto& pair = result.pairs[i];
+                const Expected& e = expected[i];
+                if (!e.rescue) {
+                    EXPECT_EQ(pair.classification,
+                              PairClass::OneMateUnmapped)
+                        << "pair " << i << " budget " << budget;
+                    ++declined;
+                    continue;
+                }
+                ASSERT_EQ(pair.classification, PairClass::Rescued)
+                    << "pair " << i << " budget " << budget;
+                EXPECT_EQ(pair.mate2, e.mate)
+                    << "pair " << i << " budget " << budget;
+                ++rescued;
+                at_start += e.at_start ? 1 : 0;
+                at_end += e.at_end ? 1 : 0;
+            }
+        }
+    }
+    EXPECT_GT(rescued, 200u);
+    EXPECT_GT(declined, 0u);
+    EXPECT_GT(at_start, 0u) << "no rescue window clamped at position 0";
+    EXPECT_GT(at_end, 0u) << "no rescue window clamped at the end";
 }
 
 TEST_F(PairedTest, RejectsMismatchedBatches) {
